@@ -132,8 +132,20 @@ inline std::size_t configure_threads(int argc, char** argv) {
   return common::default_threads();
 }
 
-/// Peak resident set size in KiB, or 0 where unavailable.
+/// Peak resident set size in KiB, or 0 where unavailable. Linux reads
+/// VmHWM from /proc/self/status first: getrusage's ru_maxrss survives
+/// execve, so a bench spawned by a larger process would report that
+/// process's peak instead of its own.
 inline std::uint64_t peak_rss_kb() {
+#if defined(__linux__)
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);  // "<n> kB"
+    }
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) == 0 && usage.ru_maxrss > 0) {

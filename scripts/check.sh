@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full local check: tier-1 build + test suite (including the lint and
-# fuzz-corpus-replay ctest entries), an explicit static-analysis stage
+# fuzz-corpus-replay ctest entries), the bench trend gates and the
+# end-to-end benchmark's smoke and determinism checks, an explicit
+# static-analysis stage
 # (repo lint, thread-safety gate, run-clang-tidy when installed), then
 # the ENTIRE ctest suite again under AddressSanitizer + UBSan with
 # contracts at the fatal level.
@@ -42,6 +44,13 @@ python3 scripts/bench_trend.py --baseline BENCH_crypto.json \
   bench/game_loop --smoke >/dev/null)
 python3 scripts/bench_trend.py --baseline BENCH_game.json \
   --run build/bench_out/runs/check-game-smoke
+
+echo "== end-to-end benchmark: smoke + determinism =="
+# bench/e2e builds dap_e2e into build-e2e/ on first use. --smoke runs
+# every workload for 1 s with its output checks; --check-determinism
+# compares the fleet and mc_sweep outcome digests at 1 and 4 threads.
+python3 bench/e2e/run.py --smoke
+python3 bench/e2e/run.py --check-determinism
 
 echo "== static analysis: repo lint + thread-safety gate =="
 python3 scripts/lint.py src

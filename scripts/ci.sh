@@ -13,27 +13,29 @@
 #      (run-clang-tidy preferred; skipped gracefully otherwise — the
 #      container ships gcc only).
 #   5. Full ctest suite under ASan+UBSan with contracts at FATAL.
+#   6. End-to-end benchmark (bench/e2e): every workload for 1 s with its
+#      output checks, then the 1-vs-4-thread outcome-digest check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GEN=()
 command -v ninja >/dev/null 2>&1 && GEN=(-G Ninja)
 
-echo "== [1/5] build (DAP_WERROR=ON) + ctest =="
+echo "== [1/6] build (DAP_WERROR=ON) + ctest =="
 cmake -B build-ci -S . "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDAP_WERROR=ON
 cmake --build build-ci
 ctest --test-dir build-ci --output-on-failure
 
-echo "== [2/5] scripts/lint.py =="
+echo "== [2/6] scripts/lint.py =="
 python3 scripts/lint.py --self-test
 python3 scripts/lint.py src
 
-echo "== [3/5] thread-safety gate =="
+echo "== [3/6] thread-safety gate =="
 python3 scripts/thread_safety_check.py
 python3 scripts/thread_safety_selftest.py
 
-echo "== [4/5] clang-tidy =="
+echo "== [4/6] clang-tidy =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # compile_commands.json is exported by every configure (top-level
   # CMakeLists sets CMAKE_EXPORT_COMPILE_COMMANDS).
@@ -47,7 +49,7 @@ else
   echo "clang-tidy not installed — skipping (config: .clang-tidy)"
 fi
 
-echo "== [5/5] ASan+UBSan full suite, contracts fatal =="
+echo "== [5/6] ASan+UBSan full suite, contracts fatal =="
 cmake -B build-ci-asan -S . "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDAP_SANITIZE=address,undefined \
   -DDAP_CONTRACTS=FATAL \
@@ -55,5 +57,9 @@ cmake -B build-ci-asan -S . "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build build-ci-asan
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-ci-asan --output-on-failure
+
+echo "== [6/6] end-to-end benchmark: smoke + determinism =="
+python3 bench/e2e/run.py --smoke
+python3 bench/e2e/run.py --check-determinism
 
 echo "== ci passed =="

@@ -39,6 +39,14 @@ bool equal(ByteView a, ByteView b);
 /// Use for all MAC/tag comparisons so forgery attempts cannot use timing.
 bool constant_time_equal(ByteView a, ByteView b);
 
+/// Constant-time equality of two packed words (e.g. a receiver's
+/// μMAC-and-index records): no branch on content.
+[[nodiscard]] constexpr bool constant_time_equal(std::uint64_t a,
+                                                 std::uint64_t b) noexcept {
+  const std::uint64_t diff = a ^ b;
+  return ((diff | (0 - diff)) >> 63) == 0;
+}
+
 /// First `n` bytes of `data` as a fresh buffer; throws if n > data.size().
 Bytes take_prefix(ByteView data, std::size_t n);
 

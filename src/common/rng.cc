@@ -30,10 +30,7 @@ std::uint64_t Rng::next_u64() noexcept {
   return result;
 }
 
-double Rng::next_double() noexcept {
-  // 53 uniform mantissa bits -> [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::next_double() noexcept { return unit_double(next_u64()); }
 
 std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");

@@ -20,6 +20,11 @@ namespace dap::common {
 /// SplitMix64 step; used for seeding and as a cheap stateless mixer.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// Uniform double in [0, 1) from one 64-bit word (its 53 high bits).
+[[nodiscard]] constexpr double unit_double(std::uint64_t word) noexcept {
+  return static_cast<double>(word >> 11) * 0x1.0p-53;
+}
+
 class Rng {
  public:
   /// Seeds the four 64-bit lanes from `seed` via SplitMix64.

@@ -50,4 +50,15 @@ bool verify_mac(const HmacKey& key, common::ByteView message,
   return common::constant_time_equal(expect, tag);
 }
 
+std::uint32_t micro_mac_word(const HmacKey& recv_key, common::ByteView mac,
+                             std::size_t size) {
+  if (size == 0 || size > sizeof(std::uint32_t)) {
+    throw std::invalid_argument("micro_mac_word: size must be in [1, 4]");
+  }
+  const Digest full = recv_key.mac(mac);
+  std::uint32_t word = 0;
+  for (std::size_t b = 0; b < size; ++b) word = (word << 8) | full[b];
+  return word;
+}
+
 }  // namespace dap::crypto

@@ -47,6 +47,12 @@ common::Bytes micro_mac(const HmacKey& recv_key, common::ByteView mac,
 bool verify_mac(const HmacKey& key, common::ByteView message,
                 common::ByteView tag);
 
+/// The same μMAC as micro_mac(), read big-endian into an integer: a
+/// receiver's packed record holds it next to the 32-bit index without a
+/// heap buffer. Throws std::invalid_argument for size outside [1, 4].
+std::uint32_t micro_mac_word(const HmacKey& recv_key, common::ByteView mac,
+                             std::size_t size = kMicroMacSize);
+
 /// Bits of storage DAP uses per buffered record (μMAC + index).
 [[nodiscard]] constexpr std::size_t dap_record_bits(
     std::size_t micro_mac_bits = kMicroMacBits,

@@ -81,48 +81,6 @@ std::size_t DapSender::announced_count(std::uint32_t i) const noexcept {
   return it == announced_.end() ? 0 : it->second.size();
 }
 
-DapReceiver::RecordBuffer::RecordBuffer(std::size_t capacity,
-                                        BufferPolicy policy)
-    : capacity_(capacity), policy_(policy) {
-  if (capacity_ == 0) {
-    throw std::invalid_argument("RecordBuffer: capacity must be >= 1");
-  }
-  slots_.reserve(capacity_);
-}
-
-bool DapReceiver::RecordBuffer::offer(Record record, common::Rng& rng) {
-  ++offers_;
-  DAP_INVARIANT(slots_.size() <= capacity_,
-                "RecordBuffer: slot count exceeds capacity");
-  if (slots_.size() < capacity_) {
-    slots_.push_back(std::move(record));
-    return true;
-  }
-  switch (policy_) {
-    case BufferPolicy::kNaiveDrop:
-      return false;
-    case BufferPolicy::kAlwaysReplace: {
-      const auto victim =
-          static_cast<std::size_t>(rng.uniform(0, capacity_ - 1));
-      slots_[victim] = std::move(record);
-      return true;
-    }
-    case BufferPolicy::kReservoir: {
-      // Algorithm 2 line 9: keep the k-th copy with probability m/k.
-      const double keep = static_cast<double>(capacity_) /
-                          static_cast<double>(offers_);
-      DAP_INVARIANT(keep > 0.0 && keep <= 1.0,
-                    "RecordBuffer: reservoir keep probability outside (0,1]");
-      if (!rng.bernoulli(keep)) return false;
-      const auto victim =
-          static_cast<std::size_t>(rng.uniform(0, capacity_ - 1));
-      slots_[victim] = std::move(record);
-      return true;
-    }
-  }
-  return false;
-}
-
 DapReceiver::DapReceiver(const DapConfig& config, common::Bytes commitment,
                          common::Bytes local_secret, sim::LooseClock clock,
                          common::Rng rng)
@@ -141,6 +99,10 @@ DapReceiver::DapReceiver(const DapConfig& config, common::Bytes commitment,
   }
   if (config_.buffers == 0) {
     throw std::invalid_argument("DapReceiver: buffers must be >= 1");
+  }
+  if (config_.micro_mac_size == 0 || config_.micro_mac_size > 4) {
+    throw std::invalid_argument(
+        "DapReceiver: micro_mac_size must be in [1, 4] bytes");
   }
   obs::Registry::global().set(telemetry_.effective_buffers,
                               static_cast<double>(effective_buffers_));
@@ -225,22 +187,11 @@ bool DapReceiver::degrade_or_admit(sim::SimTime local_now) {
   return true;
 }
 
-common::Bytes DapReceiver::micro_mac_of(common::ByteView mac) const {
-  common::Bytes out =
-      crypto::micro_mac(local_secret_key_, mac, config_.micro_mac_size);
-  DAP_ENSURE(out.size() == config_.micro_mac_size,
-             "micro_mac_of: re-MAC must have the configured record size");
-  return out;
-}
-
-bool DapReceiver::RecordBuffer::take_matching(common::ByteView micro_mac) {
-  for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-    if (common::constant_time_equal(it->micro_mac, micro_mac)) {
-      slots_.erase(it);
-      return true;
-    }
-  }
-  return false;
+std::uint64_t DapReceiver::record_of(common::ByteView mac,
+                                     std::uint32_t interval) const {
+  const std::uint32_t micro = crypto::micro_mac_word(
+      local_secret_key_, mac, config_.micro_mac_size);
+  return (std::uint64_t{micro} << 32) | interval;
 }
 
 void DapReceiver::prune_stale_rounds(std::uint32_t current_interval) {
@@ -282,22 +233,25 @@ void DapReceiver::receive(const wire::MacAnnounce& packet,
     return;
   }
   if (!degrade_or_admit(local_now)) return;
-  auto [it, created] = buffers_.try_emplace(packet.interval,
-                                            effective_buffers_,
-                                            config_.policy);
+  auto& buffer = buffers_
+                     .try_emplace(packet.interval, effective_buffers_,
+                                  config_.policy)
+                     .first->second;
   ++stats_.records_offered;
   reg.add(telemetry_.records_offered);
-  const bool was_full = it->second.full();
-  if (it->second.offer(Record{micro_mac_of(packet.mac), packet.interval},
-                       rng_)) {
-    ++stats_.records_stored;
-    reg.add(telemetry_.records_stored);
-    if (was_full) {
-      // A stored record on a full buffer displaced an earlier one.
-      reg.add(telemetry_.buffer_evictions);
-      obs::Tracer::global().record(obs::TraceKind::kBufferEvict, local_now,
-                                   packet.interval);
-    }
+  const bool was_full = buffer.full();
+  // Draw the keep decision first: a discarded copy is never re-MACed.
+  tesla::RngDraws draws(rng_);
+  const std::size_t slot = buffer.admit(draws);
+  if (slot == tesla::kDiscard) return;
+  buffer.store(slot, record_of(packet.mac, packet.interval));
+  ++stats_.records_stored;
+  reg.add(telemetry_.records_stored);
+  if (was_full) {
+    // A stored record on a full buffer displaced an earlier one.
+    reg.add(telemetry_.buffer_evictions);
+    obs::Tracer::global().record(obs::TraceKind::kBufferEvict, local_now,
+                                 packet.interval);
   }
 }
 
@@ -411,7 +365,7 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
   }
   const common::Bytes expected_mac =
       crypto::compute_mac(*cached, packet.message, config_.mac_size);
-  const common::Bytes expected_micro = micro_mac_of(expected_mac);
+  const std::uint64_t expected = record_of(expected_mac, packet.interval);
 
   const auto buf_it = buffers_.find(packet.interval);
   bool matched = false;
@@ -419,7 +373,9 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
     // Only the matched record is consumed: other records of the same
     // interval may still authenticate further reveals (multi-message
     // streams); stale rounds are pruned as later intervals arrive.
-    matched = buf_it->second.take_matching(expected_micro);
+    matched = buf_it->second.take_first([expected](std::uint64_t record) {
+      return common::constant_time_equal(record, expected);
+    });
   }
   if (!matched) {
     ++stats_.strong_auth_failures;

@@ -16,7 +16,10 @@
 // accepts M_i iff some stored record matches.
 //
 // The buffer policy is pluggable (reservoir / naive-drop / always-replace)
-// for ablation E9; the paper's protocol is the reservoir policy.
+// for ablation E9; the paper's protocol is the reservoir policy. The
+// reservoir decision is drawn BEFORE the re-MAC, so a discarded copy
+// costs no HMAC, and a kept record is one packed word (μMAC << 32 |
+// interval) in the round's flat m-slot buffer (tesla/buffer.h).
 
 #include <cstdint>
 #include <deque>
@@ -30,6 +33,7 @@
 #include "crypto/mac.h"
 #include "obs/registry.h"
 #include "sim/clock_model.h"
+#include "tesla/buffer.h"
 #include "tesla/chain_auth.h"
 #include "tesla/resync.h"
 #include "tesla/tesla.h"
@@ -38,11 +42,7 @@
 
 namespace dap::protocol {
 
-enum class BufferPolicy : std::uint8_t {
-  kReservoir,      // the paper's m/k random selection
-  kNaiveDrop,      // keep first m copies, drop the rest
-  kAlwaysReplace,  // every later copy evicts a random slot
-};
+using BufferPolicy = tesla::BufferPolicy;
 
 struct DapConfig {
   wire::NodeId sender_id = 1;
@@ -115,7 +115,9 @@ struct DapStats {
 class DapReceiver {
  public:
   /// `commitment` is the authenticated K_0; `local_secret` is this node's
-  /// private K_recv (Algorithm 2). Throws on empty inputs / zero buffers.
+  /// private K_recv (Algorithm 2). Throws on empty inputs, zero buffers,
+  /// or a micro_mac_size outside [1, 4] bytes (a packed record holds at
+  /// most a 32-bit μMAC).
   DapReceiver(const DapConfig& config, common::Bytes commitment,
               common::Bytes local_secret, sim::LooseClock clock,
               common::Rng rng);
@@ -212,34 +214,10 @@ class DapReceiver {
   }
 
  private:
-  struct Record {
-    common::Bytes micro_mac;
-    std::uint32_t interval = 0;
-  };
-
-  /// The per-interval m-slot buffer with the configured policy.
-  class RecordBuffer {
-   public:
-    RecordBuffer(std::size_t capacity, BufferPolicy policy);
-    bool offer(Record record, common::Rng& rng);
-    /// Removes (only) the first record matching `micro_mac`; returns
-    /// whether one was found.
-    bool take_matching(common::ByteView micro_mac);
-    [[nodiscard]] const std::vector<Record>& contents() const noexcept {
-      return slots_;
-    }
-    [[nodiscard]] bool full() const noexcept {
-      return slots_.size() >= capacity_;
-    }
-
-   private:
-    std::size_t capacity_;
-    BufferPolicy policy_;
-    std::size_t offers_ = 0;
-    std::vector<Record> slots_;
-  };
-
-  [[nodiscard]] common::Bytes micro_mac_of(common::ByteView mac) const;
+  /// The packed record Algorithm 2 stores for `mac`: μMAC_{K_recv}(mac)
+  /// in the high 32 bits, the interval index in the low 32.
+  [[nodiscard]] std::uint64_t record_of(common::ByteView mac,
+                                        std::uint32_t interval) const;
   /// Frees rounds whose key is long public (memory hygiene): everything
   /// older than `current_interval` minus the disclosure delay.
   void prune_stale_rounds(std::uint32_t current_interval);
@@ -307,7 +285,8 @@ class DapReceiver {
   sim::LooseClock clock_;
   common::Rng rng_;
   tesla::ChainAuthenticator auth_;
-  std::map<std::uint32_t, RecordBuffer> buffers_;  // by interval
+  std::map<std::uint32_t, tesla::ReservoirBuffer<std::uint64_t>>
+      buffers_;  // packed records by interval
   std::deque<wire::MessageReveal> pending_;        // enqueue() backlog
   DapStats stats_;
   tesla::ResyncController resync_;

@@ -8,15 +8,11 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "crypto/mac.h"
+#include "tesla/buffer.h"
 
 namespace dap::fleet {
 
 namespace {
-
-/// Uniform double in [0, 1) from one stateless 64-bit draw.
-double unit_double(std::uint64_t word) noexcept {
-  return static_cast<double>(word >> 11) * 0x1.0p-53;
-}
 
 common::Rng sentinel_rng(std::uint64_t cohort_seed) {
   return common::Rng(common::subseed(cohort_seed, 0));
@@ -163,28 +159,15 @@ void ReceiverCohort::replay_member(Round& round, std::uint32_t interval,
   // which thread — the replay runs.
   const std::uint64_t member_seed =
       common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
-  const std::uint64_t round_seed = common::subseed(member_seed, interval);
+  tesla::SeededDraws draws(common::subseed(member_seed, interval));
   for (std::uint32_t k = round.replayed;
        k < static_cast<std::uint32_t>(round.macs.size()); ++k) {
-    const std::uint32_t offer = k + 1;  // 1-based offer index ("the k-th copy")
-    if (count < m) {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (slots[j] == 0) {
-          slots[j] = k + 1;
-          break;
-        }
-      }
-      ++count;
-      continue;
-    }
-    const std::uint64_t keep_word =
-        common::subseed(round_seed, 2ULL * offer);
-    const std::uint64_t victim_word =
-        common::subseed(round_seed, 2ULL * offer + 1);
-    if (unit_double(keep_word) <
-        static_cast<double>(m) / static_cast<double>(offer)) {
-      slots[victim_word % m] = k + 1;
-    }
+    // Offer k + 1 ("the k-th copy", 1-based) is announce arrival k.
+    const std::size_t slot =
+        tesla::decide(count, k + 1, m, config_.dap.policy, draws);
+    if (slot == tesla::kDiscard) continue;
+    slots[slot] = k;
+    if (slot == count) ++count;
   }
 }
 
@@ -212,7 +195,8 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
         }
       }
       if (hint_of[p] == nullptr) continue;
-      if (unit_double(common::subseed(audit_seed_, p)) < audit_fraction_) {
+      if (common::unit_double(common::subseed(audit_seed_, p)) <
+          audit_fraction_) {
         ++stats_.hint_audits;  // audit: walk it anyway, compare verdicts
       } else {
         skip_walk[p] = 1;
@@ -314,13 +298,13 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
       const Plan& plan = plans[p];
       if (!plan.valid || plan.round == nullptr) continue;
       std::uint32_t* slots = plan.round->slots.data() + mi * m;
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint32_t v = slots[j];
-        if (v != 0 && plan.is_match[v - 1] != 0) {
-          // Strong auth: consume only the matched record, like
-          // RecordBuffer::take_matching.
-          slots[j] = 0;
-          --plan.round->counts[mi];
+      std::uint16_t& count = plan.round->counts[mi];
+      for (std::size_t j = 0; j < count; ++j) {
+        if (plan.is_match[slots[j]] != 0) {
+          // Strong auth: consume only the matched record and close the
+          // gap, the kernel's slot layout (tesla/buffer.h).
+          std::copy(slots + j + 1, slots + count, slots + j);
+          --count;
           flags[p * stat_members_ + mi] = 1;
           break;
         }

@@ -21,7 +21,9 @@
 // Strong authentication for a statistical member is then "some stored
 // slot holds an announce whose MAC equals MAC_{K_i}(M_i)", evaluated
 // with a constant-time compare against the recomputed MAC, and a match
-// consumes the slot exactly like RecordBuffer::take_matching.
+// consumes the slot exactly like the sentinel's buffer does. Members run
+// the same reservoir kernel as the sentinel (tesla/buffer.h), fed by the
+// stateless draw source instead of an Rng.
 //
 // Reservoir replay is *lazy*: announces only append to the round's
 // arrival list; member slots are brought up to date at drain time with
@@ -222,8 +224,8 @@ class ReceiverCohort {
   struct Round {
     /// Announce MACs in arrival order; slot values index this list + 1.
     std::vector<common::Bytes> macs;
-    /// Flattened member slots: member mi owns [mi*m, mi*m + m); value 0
-    /// is empty, value k+1 means "stored announce k".
+    /// Flattened member slots: member mi owns [mi*m, mi*m + m), of
+    /// which the first counts[mi] hold stored arrival indices into macs.
     std::vector<std::uint32_t> slots;
     /// Records currently held per member.
     std::vector<std::uint16_t> counts;

@@ -186,6 +186,46 @@ TEST(DapReceiver, SetBuffersAffectsNewRounds) {
   EXPECT_THROW(receiver.set_buffers(0), std::invalid_argument);
 }
 
+TEST(DapReceiver, DiscardedCopiesAreNeverReMaced) {
+  // The keep decision is drawn before the re-MAC: under a flood the HMAC
+  // work tracks the records kept, not the copies offered.
+  const auto config = test_config(4);
+  DapSender sender(config, bytes_of("seed"));
+  auto receiver = make_receiver(config, sender);
+  sim::FloodingForger forger(config.sender_id, config.mac_size, Rng(12));
+  receiver.receive(forger.forge(1), mid(1));
+  const std::uint64_t* hmacs =
+      obs::Registry::global().find_counter("crypto.hmac_calls");
+  ASSERT_NE(hmacs, nullptr);
+  const std::uint64_t hmacs_before = *hmacs;
+  const std::uint64_t stored_before = receiver.stats().records_stored;
+  for (int i = 0; i < 400; ++i) receiver.receive(forger.forge(1), mid(1));
+  const std::uint64_t stored = receiver.stats().records_stored - stored_before;
+  EXPECT_EQ(*hmacs - hmacs_before, stored);
+  EXPECT_LT(stored, 100u);  // ~ m * ln(401) kept out of 400 offered
+}
+
+TEST(DapReceiver, MicroMacSizeMustFitThePackedRecord) {
+  // A record is one word, μMAC << 32 | interval: at most a 32-bit μMAC.
+  auto config = test_config();
+  DapSender sender(config, bytes_of("seed"));
+  for (const std::size_t size : {0u, 5u, 8u}) {
+    config.micro_mac_size = size;
+    EXPECT_THROW(make_receiver(config, sender), std::invalid_argument)
+        << "size " << size;
+  }
+  for (const std::size_t size : {1u, 2u, 3u, 4u}) {
+    config.micro_mac_size = size;
+    DapSender sized_sender(config, bytes_of("seed"));
+    auto receiver = make_receiver(config, sized_sender);
+    receiver.receive(sized_sender.announce(1, bytes_of("m")), mid(1));
+    // §VI-A accounting is unchanged: μMAC bits plus the 32-bit index.
+    EXPECT_EQ(receiver.stored_record_bits(), size * 8 + 32);
+    EXPECT_TRUE(receiver.receive(sized_sender.reveal(1), mid(2)).has_value())
+        << "size " << size;
+  }
+}
+
 // ------------------------------------------------- attack-success property
 
 double measured_attack_success(double p, std::size_t m, int trials,

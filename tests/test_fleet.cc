@@ -465,6 +465,61 @@ TEST(Cohort, FloodFillsReservoirsButForgesNeverAuthenticate) {
   EXPECT_GE(cohort.stats().stored_records_peak, 63u * 3u);
 }
 
+TEST(Cohort, MatchedSlotIsClosedBeforeALateOffer) {
+  // At d = 2 an announce for interval 1 is still safe after interval 1's
+  // first reveal matched. The match must close its slot (the kernel's
+  // prefix layout) so the late copy fills the free tail slot instead of
+  // overwriting the record the second reveal still needs.
+  fleet::CohortConfig config = cohort_config(2, 5);
+  config.dap.buffers = 2;
+  config.dap.disclosure_delay = 2;
+  protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));
+  fleet::ReceiverCohort cohort(config, sender.chain().commitment());
+  sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
+                             common::Rng(77));
+
+  const sim::SimTime t = announce_time(config.dap, 1);
+  cohort.receive_announce(sender.announce(1, common::bytes_of("a")), t);
+  cohort.receive_announce(sender.announce(1, common::bytes_of("b")), t);
+  cohort.enqueue_reveal(sender.reveal(1, 0));
+  auto outcomes = cohort.drain(drain_time(config.dap, 1));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].members_authenticated, 1u);
+
+  const sim::SimTime late = drain_time(config.dap, 1) + 1;
+  cohort.receive_announce(forger.forge(1), late);
+  EXPECT_EQ(cohort.stats().announces_unsafe, 0u);
+  cohort.enqueue_reveal(sender.reveal(1, 1));
+  outcomes = cohort.drain(late + 1);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].members_authenticated, 1u);
+  EXPECT_TRUE(outcomes[0].sentinel_authenticated);
+  EXPECT_EQ(cohort.stored_for_interval(1), 1u);  // only the late forgery
+}
+
+TEST(Cohort, MembersFollowTheConfiguredBufferPolicy) {
+  // Members run the sentinel's kernel under the same policy: with
+  // naive-drop, a forged burst ahead of the authentic copy fills every
+  // slot for every member, exactly as it does for the sentinel.
+  fleet::CohortConfig config = cohort_config(16, 5);
+  config.dap.policy = protocol::BufferPolicy::kNaiveDrop;
+  protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));
+  fleet::ReceiverCohort cohort(config, sender.chain().commitment());
+  sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
+                             common::Rng(77));
+
+  const sim::SimTime t = announce_time(config.dap, 1);
+  for (std::size_t n = 0; n < config.dap.buffers; ++n) {
+    cohort.receive_announce(forger.forge(1), t);
+  }
+  cohort.receive_announce(sender.announce(1, common::bytes_of("m")), t);
+  cohort.enqueue_reveal(sender.reveal(1));
+  const auto outcomes = cohort.drain(drain_time(config.dap, 1));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].members_authenticated, 0u);
+  EXPECT_FALSE(outcomes[0].sentinel_authenticated);
+}
+
 TEST(Cohort, DrainIsBitwiseIdenticalAcrossThreadCounts) {
   const auto run = [](std::size_t threads) {
     ThreadGuard guard(threads);

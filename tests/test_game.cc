@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "game/bandwidth.h"
 #include "game/ess.h"
@@ -174,10 +176,16 @@ TEST(Ess, CandidatesMatchClosedForms) {
   EXPECT_NEAR(c.y_interior, 4.0 * 20 * 200.0 / denom, 1e-12);
 }
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// names each case after that text. The padding after `kind` is spelled
+// out and zeroed so the names are the same on every run instead of
+// echoing whatever the stack held.
 struct RegimeCase {
   std::size_t m;
   EssKind kind;
+  std::array<std::uint8_t, 7> pad{};
 };
+static_assert(sizeof(RegimeCase) == 16);
 
 class EssRegimes : public ::testing::TestWithParam<RegimeCase> {};
 

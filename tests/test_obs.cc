@@ -14,6 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+#include "common/rng.h"
+#include "dap/dap.h"
 #include "obs/export.h"
 #include "obs/registry.h"
 #include "obs/scoped_timer.h"
@@ -43,6 +46,18 @@ void* operator new[](std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
+}
+
+// The nothrow forms too (std::stable_sort's temporary buffer uses them),
+// so every block the deletes below free came from malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -147,6 +162,37 @@ TEST(Registry, NameLookupsAreAllocationFree) {
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(*c, 4u);
   EXPECT_EQ(before, after) << "transparent lookup should not build strings";
+}
+
+TEST(AllocationFree, DapAnnouncePathAfterRoundsFirstOffer) {
+  // Algorithm 2's announce path under flood: after a round's first offer
+  // has created its m-slot buffer, neither a kept copy (re-MAC into a
+  // packed word) nor a discarded one (no re-MAC at all) allocates.
+  protocol::DapConfig config;
+  config.chain_length = 8;
+  protocol::DapSender sender(config, common::bytes_of("seed"));
+  protocol::DapReceiver receiver(config, sender.chain().commitment(),
+                                 common::bytes_of("k-recv"),
+                                 sim::LooseClock(0, 0), common::Rng(5));
+  const wire::MacAnnounce authentic =
+      sender.announce(2, common::bytes_of("reading"));
+  wire::MacAnnounce forged = authentic;
+  forged.mac[0] ^= 0xff;
+  const sim::SimTime now =
+      config.schedule.interval_start(2) + config.schedule.duration() / 4;
+  receiver.receive(authentic, now);  // creates the round's buffer
+
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) {
+    receiver.receive(i % 2 == 0 ? forged : authentic, now);
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(before, after) << "announce path allocated";
+  const protocol::DapStats& stats = receiver.stats();
+  EXPECT_EQ(stats.records_offered, 1001u);
+  EXPECT_GT(stats.records_stored, config.buffers);  // kept offers ...
+  EXPECT_LT(stats.records_stored, 100u);            // ... and discarded
+  EXPECT_EQ(receiver.buffered_records(2), config.buffers);
 }
 
 // -------------------------------------------------- LatencyHistogram

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "common/codec.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "crypto/keychain.h"
 #include "game/ess.h"
@@ -181,25 +183,75 @@ TEST(Property, TwoLevelDerivationConsistentAcrossShapes) {
 
 // -------------------------------------------------------------- reservoir
 
+/// Pearson statistic for "each of n offers survives with probability
+/// m/n" over `rounds` rounds, scaled for the m-of-n sample: the kept set
+/// of a round is a uniform m-subset, so its indicator covariance is
+/// p(1-p) n/(n-1) (I - J/n) and the statistic is ~ chi^2 with n-1
+/// degrees of freedom. Returned as a Wilson-Hilferty z-score.
+double reservoir_chi2_z(const std::vector<int>& survival, std::size_t m,
+                        int rounds) {
+  const double n = static_cast<double>(survival.size());
+  const double p = static_cast<double>(m) / n;
+  const double expected = rounds * p;
+  double sum_sq = 0.0;
+  for (const int observed : survival) {
+    sum_sq += (observed - expected) * (observed - expected);
+  }
+  const double chi2 = sum_sq * (n - 1.0) / (rounds * p * (1.0 - p) * n);
+  const double k = n - 1.0;
+  return (std::cbrt(chi2 / k) - (1.0 - 2.0 / (9.0 * k))) /
+         std::sqrt(2.0 / (9.0 * k));
+}
+
 TEST(Property, ReservoirUniformAcrossRandomShapes) {
+  // Survival is uniform over arrival position for both draw sources the
+  // kernel takes: the statistical basis of P = p^m. |z| < 3.9 is a
+  // two-sided 1e-4 test per (shape, source); a too-regular pattern fails
+  // the lower tail just as a biased one fails the upper.
   Rng rng(1008);
-  for (int trial = 0; trial < 5; ++trial) {
+  for (int trial = 0; trial < 8; ++trial) {
     const std::size_t m = rng.uniform(1, 6);
     const std::size_t n = m + rng.uniform(1, 20);
     const int rounds = 4000;
-    std::map<std::size_t, int> survival;
-    for (int r = 0; r < rounds; ++r) {
-      tesla::ReservoirBuffer<std::size_t> buffer(m);
-      for (std::size_t k = 0; k < n; ++k) buffer.offer(k, rng);
-      for (std::size_t kept : buffer.contents()) ++survival[kept];
-    }
-    const double expected =
-        static_cast<double>(m) / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(static_cast<double>(survival[k]) / rounds, expected, 0.05)
-          << "m=" << m << " n=" << n << " item " << k;
+    const std::uint64_t seed = rng.next_u64();
+    for (const bool seeded : {false, true}) {
+      std::vector<int> survival(n, 0);
+      Rng draws_rng(seed);
+      for (int r = 0; r < rounds; ++r) {
+        tesla::ReservoirBuffer<std::size_t> buffer(m);
+        tesla::RngDraws rng_draws(draws_rng);
+        tesla::SeededDraws seeded_draws(
+            common::subseed(seed, static_cast<std::uint64_t>(r)));
+        for (std::size_t k = 0; k < n; ++k) {
+          const std::size_t slot = seeded ? buffer.admit(seeded_draws)
+                                          : buffer.admit(rng_draws);
+          if (slot != tesla::kDiscard) buffer.store(slot, k);
+        }
+        ASSERT_EQ(buffer.contents().size(), m);
+        for (const std::size_t kept : buffer.contents()) ++survival[kept];
+      }
+      const double z = reservoir_chi2_z(survival, m, rounds);
+      EXPECT_LT(std::abs(z), 3.9) << "m=" << m << " n=" << n
+                                  << (seeded ? " seeded" : " rng");
     }
   }
+}
+
+TEST(Property, ReservoirChi2RejectsBiasedSelection) {
+  // The statistic has teeth: always-replace over-weights late arrivals,
+  // and its survival profile fails the same test by a wide margin.
+  const std::size_t m = 3;
+  const std::size_t n = 12;
+  const int rounds = 4000;
+  std::vector<int> survival(n, 0);
+  Rng rng(77);
+  for (int r = 0; r < rounds; ++r) {
+    tesla::ReservoirBuffer<std::size_t> buffer(
+        m, tesla::BufferPolicy::kAlwaysReplace);
+    for (std::size_t k = 0; k < n; ++k) buffer.offer(k, rng);
+    for (const std::size_t kept : buffer.contents()) ++survival[kept];
+  }
+  EXPECT_GT(reservoir_chi2_z(survival, m, rounds), 10.0);
 }
 
 // ------------------------------------------------------------------- game

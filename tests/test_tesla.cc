@@ -451,14 +451,41 @@ TEST(ReservoirBuffer, UniformInclusionProbability) {
   EXPECT_EQ(survival.size(), n);  // every position survived sometimes
 }
 
+TEST(ReservoirBuffer, TakeCompactsAndNextFillLandsAtTheEnd) {
+  // The one slot layout every caller shares: occupied slots are the
+  // prefix [0, count), a take shifts later records down, and a fill goes
+  // to slot `count` (no draw while a slot is free), whatever the source.
+  ReservoirBuffer<int> buffer(4);
+  Rng rng(4);
+  for (int v = 1; v <= 4; ++v) EXPECT_TRUE(buffer.offer(v, rng));
+  EXPECT_TRUE(buffer.take_first([](int v) { return v == 2; }));
+  EXPECT_EQ(buffer.contents(), (std::vector<int>{1, 3, 4}));
+  const Rng before = rng;
+  EXPECT_TRUE(buffer.offer(5, rng));
+  EXPECT_EQ(buffer.contents(), (std::vector<int>{1, 3, 4, 5}));
+  Rng untouched = before;
+  EXPECT_EQ(untouched.next_u64(), rng.next_u64());  // the fill drew nothing
+
+  SeededDraws seeded(9);
+  RngDraws draws(rng);
+  for (const auto policy : {BufferPolicy::kReservoir, BufferPolicy::kNaiveDrop,
+                            BufferPolicy::kAlwaysReplace}) {
+    EXPECT_EQ(decide(3, 7, 4, policy, seeded), 3u);
+    EXPECT_EQ(decide(3, 7, 4, policy, draws), 3u);
+  }
+  EXPECT_EQ(decide(4, 7, 4, BufferPolicy::kNaiveDrop, seeded), kDiscard);
+}
+
 TEST(ReservoirBuffer, RejectsZeroCapacity) {
   EXPECT_THROW(ReservoirBuffer<int>(0), std::invalid_argument);
-  EXPECT_THROW(NaiveDropBuffer<int>(0), std::invalid_argument);
-  EXPECT_THROW(AlwaysReplaceBuffer<int>(0), std::invalid_argument);
+  EXPECT_THROW(ReservoirBuffer<int>(0, BufferPolicy::kNaiveDrop),
+               std::invalid_argument);
+  EXPECT_THROW(ReservoirBuffer<int>(0, BufferPolicy::kAlwaysReplace),
+               std::invalid_argument);
 }
 
 TEST(NaiveDropBuffer, KeepsFirstArrivals) {
-  NaiveDropBuffer<int> buffer(2);
+  ReservoirBuffer<int> buffer(2, BufferPolicy::kNaiveDrop);
   Rng rng(2);
   EXPECT_TRUE(buffer.offer(1, rng));
   EXPECT_TRUE(buffer.offer(2, rng));
@@ -468,7 +495,7 @@ TEST(NaiveDropBuffer, KeepsFirstArrivals) {
 }
 
 TEST(AlwaysReplaceBuffer, LateArrivalsAlwaysStored) {
-  AlwaysReplaceBuffer<int> buffer(2);
+  ReservoirBuffer<int> buffer(2, BufferPolicy::kAlwaysReplace);
   Rng rng(3);
   buffer.offer(1, rng);
   buffer.offer(2, rng);
