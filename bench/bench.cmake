@@ -31,7 +31,7 @@ foreach(name ${DAP_BENCH_PLAIN})
   add_executable(bench_${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cc)
   target_link_libraries(bench_${name}
     PRIVATE dap_common dap_obs dap_crypto dap_wire dap_sim dap_tesla dap_dap
-            dap_game dap_core dap_analysis dap_fleet dap_warnings)
+            dap_game dap_analysis dap_fleet dap_warnings)
   set_target_properties(bench_${name} PROPERTIES
     OUTPUT_NAME ${name}
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -5,9 +5,8 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "core/coevolution.h"
-#include "core/population.h"
 #include "game/ess.h"
+#include "game/population.h"
 
 int main() {
   using namespace dap;
@@ -24,20 +23,11 @@ int main() {
   for (std::size_t m : {6u, 15u, 30u, 70u}) {
     const auto g = game::GameParams::paper_defaults(0.8, m);
     const auto ess = game::solve_ess(g);
-    core::PopulationConfig config;
+    game::PopulationConfig config;
     config.defenders = 8000;
     config.attackers = 8000;
-    core::PopulationSim sim(config, g, common::Rng(42 + m));
-    (void)sim.run(30000);
-    game::State mean{0, 0};
-    const int window = 5000;
-    for (int i = 0; i < window; ++i) {
-      sim.step();
-      mean.x += sim.defender_share();
-      mean.y += sim.attacker_share();
-    }
-    mean.x /= window;
-    mean.y /= window;
+    game::PopulationSim sim(config, g, common::Rng(42 + m));
+    const game::State mean = sim.run_and_average(30000, 5000).mean;
     const double err = std::max(std::abs(mean.x - ess.point.x),
                                 std::abs(mean.y - ess.point.y));
     table.add_row({std::to_string(m), game::ess_kind_name(ess.kind),
@@ -60,8 +50,8 @@ int main() {
   for (std::size_t m : {6u, 15u, 30u, 70u}) {
     const auto g = game::GameParams::paper_defaults(0.8, m);
     const auto ess = game::solve_ess(g);
-    core::CoevolutionConfig config;
-    core::CoevolutionSim sim(config, g, common::Rng(99 + m));
+    game::CoevolutionConfig config;
+    game::CoevolutionSim sim(config, g, common::Rng(99 + m));
     const auto w = sim.run_and_average(15000, 5000);
     const double err = std::max(std::abs(w.mean.x - ess.point.x),
                                 std::abs(w.mean.y - ess.point.y));

@@ -14,28 +14,30 @@
 
 #include "common/csv.h"
 #include "common/rng.h"
-#include "core/adaptive_defender.h"
 #include "game/optimizer.h"
 #include "obs/registry.h"
 #include "sim/adversary.h"
+#include "strategy/defender.h"
 
 int main() {
   using namespace dap;
 
-  core::AdaptiveConfig config;
-  config.dap.chain_length = 140;
-  config.dap.buffers = 1;
-  config.dap.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  protocol::DapConfig dap_config;
+  dap_config.chain_length = 140;
+  dap_config.buffers = 1;
+  dap_config.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  strategy::AdaptiveConfig config;
   config.retune_period = 5;
   config.estimator_smoothing = 0.5;
 
-  protocol::DapSender sender(config.dap, common::bytes_of("seed"));
-  core::AdaptiveDefender adaptive(config, sender.chain().commitment(),
-                                  common::bytes_of("local-a"),
-                                  sim::LooseClock(0, 0), common::Rng(1));
+  protocol::DapSender sender(dap_config, common::bytes_of("seed"));
+  protocol::DapReceiver receiver(dap_config, sender.chain().commitment(),
+                                 common::bytes_of("local-a"),
+                                 sim::LooseClock(0, 0), common::Rng(1));
+  strategy::AdaptiveDefender adaptive(config);
 
   // The naive baseline: fixed M = 50 buffers, always defending.
-  protocol::DapConfig naive_config = config.dap;
+  protocol::DapConfig naive_config = dap_config;
   naive_config.buffers = game::kMaxBuffers;
   protocol::DapSender naive_sender(naive_config, common::bytes_of("seed"));
   protocol::DapReceiver naive(naive_config,
@@ -45,7 +47,7 @@ int main() {
   double naive_cost = 0.0;
   std::uint64_t naive_losses = 0;
 
-  sim::FloodingForger attacker(config.dap.sender_id, config.dap.mac_size,
+  sim::FloodingForger attacker(dap_config.sender_id, dap_config.mac_size,
                                common::Rng(3));
 
   // Attack phases: (intervals, forged copies per authentic one).
@@ -66,7 +68,6 @@ int main() {
   std::cout << "interval  phase              p-est   m(adaptive)  X(ess)\n"
             << "--------------------------------------------------------\n";
   std::uint32_t interval = 0;
-  std::uint64_t naive_success_before = 0;
   for (const auto& phase : phases) {
     for (std::uint32_t k = 0; k < phase.intervals; ++k) {
       ++interval;
@@ -74,27 +75,25 @@ int main() {
           sender.announce(interval, common::bytes_of("telemetry"));
       const auto announce_n =
           naive_sender.announce(interval, common::bytes_of("telemetry"));
-      adaptive.receive(announce_a, mid(interval));
+      receiver.receive(announce_a, mid(interval));
       naive.receive(announce_n, mid(interval));
       for (std::size_t f = 0; f < phase.forged; ++f) {
-        adaptive.receive(attacker.forge(interval), mid(interval));
+        receiver.receive(attacker.forge(interval), mid(interval));
         naive.receive(attacker.forge(interval), mid(interval));
       }
-      (void)adaptive.receive(sender.reveal(interval), mid(interval + 1));
+      (void)receiver.receive(sender.reveal(interval), mid(interval + 1));
       const bool naive_ok =
           naive.receive(naive_sender.reveal(interval), mid(interval + 1))
               .has_value();
-      adaptive.close_interval(1 + phase.forged);
-      naive_cost += 4.0 * static_cast<double>(game::kMaxBuffers);
+      adaptive.close_interval(receiver, 1 + phase.forged);
+      naive_cost += config.game.k2 * static_cast<double>(game::kMaxBuffers);
       if (!naive_ok) {
-        naive_cost += 200.0;
+        naive_cost += config.game.Ra;
         ++naive_losses;
       }
-      (void)naive_success_before;
       if (interval % 10 == 0) {
         std::printf("%8u  %-16s  %5.3f  %11zu  %5.3f\n", interval,
-                    phase.label, adaptive.estimated_p(),
-                    adaptive.current_buffers(),
+                    phase.label, adaptive.estimated_p(), receiver.buffers(),
                     adaptive.stats().defense_share_x);
       }
     }

@@ -124,6 +124,7 @@ int main(int argc, char** argv) {
             << "% of medium bits)\n"
             << "residual buffered records per node (bits): mean "
             << common::format_number(memory_bits.mean()) << '\n';
-  std::cout << "\nmedium counters:\n" << medium.metrics().report();
+  std::cout << "\nmedium counters:\n"
+            << medium.registry().report(/*skip_zero_counters=*/true);
   return 0;
 }

@@ -27,6 +27,7 @@ from .tokenizer import LexResult, Token, tokenize
 ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 
 SOURCE_SUFFIXES = {".cc", ".h"}
+CMAKE_FILE = "CMakeLists.txt"
 
 _ALLOW_RE = re.compile(r"(?:dap-)?lint:\s*allow\(([A-Za-z0-9_-]+)\)")
 
@@ -215,20 +216,25 @@ def is_under(rel: str, prefixes) -> bool:
     return any(rel == p or rel.startswith(p + "/") for p in prefixes)
 
 
+def _lintable(path) -> bool:
+    return path.suffix in SOURCE_SUFFIXES or path.name == CMAKE_FILE
+
+
 def collect_files(paths):
     for path in paths:
         if path.is_dir():
             for child in sorted(path.rglob("*")):
-                if child.suffix in SOURCE_SUFFIXES and child.is_file():
+                if _lintable(child) and child.is_file():
                     yield child
-        elif path.suffix in SOURCE_SUFFIXES:
+        elif _lintable(path):
             yield path
 
 
 def run_lint(paths, root=None) -> List[Finding]:
     """Lints files/directories; returns findings sorted by location.
     `root` anchors relative paths (defaults to the repo root)."""
-    from .rules import RULES  # late import: rules import engine helpers
+    # Late import: rules import engine helpers.
+    from .rules import RULES, link_layering
 
     root = root or ROOT
     findings: List[Finding] = []
@@ -241,6 +247,9 @@ def run_lint(paths, root=None) -> List[Finding]:
             text = path.read_text(encoding="utf-8", errors="replace")
         except OSError as err:
             findings.append(Finding(rel, 0, "io", f"unreadable file: {err}"))
+            continue
+        if path.name == CMAKE_FILE:
+            findings.extend(link_layering(rel, text))
             continue
         src = SourceFile(rel, text)
         for rule in RULES:

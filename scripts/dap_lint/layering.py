@@ -1,17 +1,20 @@
 """The module-layering DAG the `layering` rule enforces.
 
 Modules are the direct children of src/ (src/<module>/...). An edge
-A -> B means "A may include headers from B". The graph below is the
-*intended* architecture (also drawn in DESIGN.md); the rule fails on
-any project include that is not a forward edge of this DAG, which is
-exactly what makes an accidental upward include (e.g. wire/ reaching
-into dap/) a lint failure instead of a slow-motion architecture drift.
+A -> B means "A may include headers from B" and "library dap_A may link
+dap_B". The graph below is the *intended* architecture (also drawn in
+DESIGN.md); the rule fails on any project include, and on any
+`target_link_libraries(dap_A ... dap_B ...)` in a CMakeLists.txt, that
+is not a forward edge of this DAG. That is exactly what makes an
+accidental upward dependency (e.g. wire/ reaching into dap/) a lint
+failure instead of a slow-motion architecture drift.
 
 Layer order (low to high):
 
     common                      foundation: bytes, rng, codec, parallel
     obs, wire                   telemetry; packet formats  (common only)
     crypto, game                primitives + instrumentation; game theory
+                                and finite-population dynamics
     crypto_batch                multi-lane SHA-256 kernels (above crypto:
                                 src/crypto/sha256_batch*, a virtual node
                                 so the scalar primitives can never grow a
@@ -19,15 +22,16 @@ Layer order (low to high):
     sim                         clocks, channels, event queue
     tesla                       TESLA baselines (uses crypto, sim, wire)
     dap                         the paper's protocol (extends tesla)
-    core, fleet                 top-level drivers; fleet sim
-    strategy                    adaptive adversaries, cooperative
-                                verification, MABS baseline (may use
-                                game + fleet + tesla; game can never
-                                depend back on strategy)
+    fleet                       fleet sim
+    strategy                    adaptive attacker and defender,
+                                cooperative verification, MABS baseline
+                                (may use game + fleet + tesla; game can
+                                never depend back on strategy)
     analysis                    experiments (may also drive fleet and
                                 strategy scenarios)
 """
 
+import re
 from typing import Dict, List, Tuple
 
 # module -> modules it may include (itself is always allowed).
@@ -42,7 +46,6 @@ ALLOWED: Dict[str, Tuple[str, ...]] = {
     "tesla": ("common", "obs", "wire", "crypto", "crypto_batch", "sim"),
     "dap": ("common", "obs", "wire", "crypto", "crypto_batch", "sim",
             "tesla"),
-    "core": ("common", "obs", "sim", "game", "dap"),
     "fleet": ("common", "obs", "wire", "crypto", "crypto_batch", "sim",
               "tesla", "dap"),
     "strategy": ("common", "obs", "wire", "crypto", "crypto_batch", "sim",
@@ -73,6 +76,29 @@ def include_target_module(path: str) -> str:
         return "crypto_batch"
     head = path.split("/", 1)[0]
     return head if head in MODULES and "/" in path else ""
+
+
+_CMAKE_COMMENT_RE = re.compile(r"#[^\n]*")
+_LINK_CALL_RE = re.compile(r"target_link_libraries\s*\(\s*dap_(\w+)([^)]*)\)")
+_LINK_TARGET_RE = re.compile(r"\bdap_(\w+)")
+
+
+def link_edges(text: str) -> List[Tuple[int, str, str]]:
+    """(line, from_module, to_module) for every dap_<module> library a
+    CMakeLists.txt links into a dap_<module> library. Targets that are
+    not modules (dap_warnings) are not DAG nodes and are skipped; the
+    library dap_crypto is the crypto node."""
+    text = _CMAKE_COMMENT_RE.sub("", text)  # keeps the newlines
+    edges = []
+    for call in _LINK_CALL_RE.finditer(text):
+        source = call.group(1)
+        if source not in MODULES:
+            continue
+        for dep in _LINK_TARGET_RE.finditer(call.group(2)):
+            if dep.group(1) in MODULES:
+                line = text.count("\n", 0, call.start(2) + dep.start()) + 1
+                edges.append((line, source, dep.group(1)))
+    return edges
 
 
 def check_edge(from_module: str, to_module: str) -> bool:

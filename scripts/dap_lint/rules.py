@@ -2,12 +2,13 @@
 
 Each rule is a callable `rule(src: SourceFile, root) -> Iterable[Finding]`;
 the engine filters findings through the suppression table afterwards, so
-rules report unconditionally. Legacy rules (constant-time, determinism,
-include-hygiene, global-state, metric-name) keep their names, scoped
-directories, and message shapes; the token stream just makes them immune
-to comments/strings. New rules: secret-taint, layering,
-contracts-coverage, guarded-fields, and the unordered-iteration arm of
-determinism.
+rules report unconditionally. CMakeLists.txt files are not C++: the engine
+runs only `link_layering` on them, the layering rule over library links.
+Legacy rules (constant-time, determinism, include-hygiene, global-state,
+metric-name) keep their names, scoped directories, and message shapes;
+the token stream just makes them immune to comments/strings. New rules:
+secret-taint, layering, contracts-coverage, guarded-fields, and the
+unordered-iteration arm of determinism.
 """
 
 import re
@@ -450,6 +451,19 @@ def rule_layering(src: SourceFile, root) -> Iterable[Finding]:
                 f"DAG: '{mod}' may depend only on [{allowed}] — see the "
                 "layer diagram in DESIGN.md (or annotate a deliberate "
                 "exception '// lint: allow(layering): <reason>')")
+
+
+def link_layering(rel: str, text: str) -> Iterable[Finding]:
+    """The layering rule over a CMakeLists.txt: every dap_<module> link
+    of a dap_<module> library must be an edge of the DAG."""
+    for line, mod, target in layering.link_edges(text):
+        if not layering.check_edge(mod, target):
+            allowed = ", ".join(layering.ALLOWED[mod]) or "(nothing)"
+            yield Finding(
+                rel, line, "layering",
+                f"dap_{mod} links dap_{target}, which breaks the "
+                f"module-layering DAG: '{mod}' may depend only on "
+                f"[{allowed}] — see the layer diagram in DESIGN.md")
 
 
 def rule_contracts_coverage(src: SourceFile, root) -> Iterable[Finding]:

@@ -10,8 +10,9 @@ linter reports. Coverage contract:
   * tokenizer edges: banned calls inside raw strings and inside
     line-spliced comments are NOT flagged; macro bodies ARE scanned;
     a suppression marker inside a string literal does NOT suppress;
-  * the layering fixture includes a doctored back edge (wire -> dap)
-    and the layering table itself is checked to be acyclic.
+  * the layering fixtures include a doctored back edge (wire -> dap),
+    both as an #include and as a dap_wire -> dap_dap library link, and
+    the layering table itself is checked to be acyclic.
 """
 
 import pathlib
@@ -148,6 +149,18 @@ CASES = [
      '#include "dap/dap.h"  // lint: allow(layering): doc example only\n'
      "int f() { return 1; }\n",
      set()),
+    ("src/wire/CMakeLists.txt",  # doctored link edge: dap_wire -> dap_dap
+     "add_library(dap_wire frame.cc)\n"
+     "target_link_libraries(dap_wire\n"
+     "  PUBLIC dap_common dap_dap  # dap_sim in a comment is ignored\n"
+     "  PRIVATE dap_warnings)\n",
+     {"layering"}),
+    ("src/dap/CMakeLists.txt",
+     "add_library(dap_dap dap.cc)\n"
+     "# target_link_libraries(dap_dap PUBLIC dap_fleet) stays a comment\n"
+     "target_link_libraries(dap_dap PUBLIC dap_common dap_obs dap_crypto\n"
+     "  dap_wire dap_sim dap_tesla PRIVATE dap_warnings)\n",
+     set()),
     # ----------------------------------------------- contracts-coverage
     ("src/dap/bad_contract.cc",
      '#include "dap/bad_contract.h"\n'
@@ -243,8 +256,9 @@ def self_test() -> int:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(content)
             # The own-header-first rule only fires when the header exists.
-            header = tmp_root / (rel[:-3] + ".h")
-            header.write_text("#pragma once\n")
+            if rel.endswith(".cc"):
+                header = tmp_root / (rel[:-3] + ".h")
+                header.write_text("#pragma once\n")
         for rel, _, expected_rules in CASES:
             findings = run_lint([tmp_root / rel], root=tmp_root)
             got_rules = {f.rule for f in findings}

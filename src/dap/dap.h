@@ -168,7 +168,7 @@ class DapReceiver {
 
   /// Re-tunes the buffer count for rounds that have not started yet
   /// (rounds with an existing buffer keep their capacity). Used by the
-  /// adaptive game-driven controller in src/core. Throws on m == 0.
+  /// game-driven strategy::AdaptiveDefender. Throws on m == 0.
   void set_buffers(std::size_t m);
   [[nodiscard]] std::size_t buffers() const noexcept {
     return config_.buffers;

@@ -272,8 +272,8 @@ Registry::sorted_rates() const {
 }
 
 std::string Registry::report(bool skip_zero_counters) const {
-  // Byte-compatible with the historical sim::Metrics::report(): counters,
-  // then rates, then observation moments, each alphabetical.
+  // Counters, then rates, then observation moments, each alphabetical.
+  // Example and bench stdout embeds this block, so the format is fixed.
   std::ostringstream out;
   for (const auto& [name, slot] : sorted_counters()) {
     if (skip_zero_counters && counters_[slot] == 0) continue;

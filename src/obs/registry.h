@@ -78,8 +78,7 @@ class LatencyHistogram {
   [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double min() const noexcept { return moments_.min(); }
   [[nodiscard]] double max() const noexcept { return moments_.max(); }
-  /// Exact streaming moments (Welford), shared with sim::Metrics so its
-  /// report() output is unchanged.
+  /// Exact streaming moments (Welford), the mean/sd that report() prints.
   [[nodiscard]] const common::RunningStats& moments() const noexcept {
     return moments_;
   }
@@ -179,11 +178,10 @@ class Registry {
            rates_.size();
   }
 
-  /// Renders counters/rates/histogram-moments as the aligned text block
-  /// sim::Metrics::report() has always produced (byte-compatible).
+  /// Renders counters/rates/histogram-moments as an aligned text block.
   /// `skip_zero_counters` drops counters that were never incremented —
-  /// components that pre-register handles at construction would otherwise
-  /// print "= 0" lines the lazily-registering legacy Metrics never had.
+  /// components that pre-register handles at construction (sim::Medium)
+  /// would otherwise print "= 0" lines for events that never happened.
   [[nodiscard]] std::string report(bool skip_zero_counters = false) const;
 
   /// Folds `other` into this registry by *name* (slot indices may differ

@@ -8,12 +8,11 @@ Medium::Medium(EventQueue& queue, common::Rng& rng)
     : queue_(queue), rng_(rng.fork(0x6d656469756dULL /* "medium" */)) {
   // Handles resolved once here; broadcast() then updates without any
   // name lookup.
-  auto& reg = metrics_.registry();
-  ctr_rate_limited_ = reg.counter("medium.rate_limited");
-  ctr_broadcasts_ = reg.counter("medium.broadcasts");
-  ctr_frames_lost_ = reg.counter("medium.frames_lost");
-  ctr_frames_corrupted_ = reg.counter("medium.frames_corrupted");
-  ctr_frames_duplicated_ = reg.counter("medium.frames_duplicated");
+  ctr_rate_limited_ = registry_.counter("medium.rate_limited");
+  ctr_broadcasts_ = registry_.counter("medium.broadcasts");
+  ctr_frames_lost_ = registry_.counter("medium.frames_lost");
+  ctr_frames_corrupted_ = registry_.counter("medium.frames_corrupted");
+  ctr_frames_duplicated_ = registry_.counter("medium.frames_duplicated");
 }
 
 std::size_t Medium::attach(ReceiveFn receive, std::unique_ptr<Channel> channel,
@@ -52,7 +51,7 @@ bool Medium::broadcast(const wire::Packet& packet) {
   if (bucket != rate_limits_.end() &&
       !bucket->second.try_consume(bits, queue_.now())) {
     ++rate_limited_[sender];
-    metrics_.registry().add(ctr_rate_limited_);
+    registry_.add(ctr_rate_limited_);
     return false;
   }
   if (bits_by_sender_.size() <= sender) {
@@ -60,13 +59,13 @@ bool Medium::broadcast(const wire::Packet& packet) {
   }
   bits_by_sender_[sender] += bits;
   total_bits_ += bits;
-  metrics_.registry().add(ctr_broadcasts_);
+  registry_.add(ctr_broadcasts_);
 
   for (std::size_t li = 0; li < links_.size(); ++li) {
     auto& link = links_[li];
     const std::size_t copies = link.channel->deliveries(link.rng);
     if (copies == 0) {
-      metrics_.registry().add(ctr_frames_lost_);
+      registry_.add(ctr_frames_lost_);
       continue;
     }
     for (std::size_t c = 0; c < copies; ++c) {
@@ -74,10 +73,9 @@ bool Medium::broadcast(const wire::Packet& packet) {
         // A duplicate is one more transmission on the medium: count its
         // airtime against the original sender so bandwidth-fraction
         // experiments see the true load.
-        ++duplicated_frames_;
         bits_by_sender_[sender] += bits;
         total_bits_ += bits;
-        metrics_.registry().add(ctr_frames_duplicated_);
+        registry_.add(ctr_frames_duplicated_);
       }
       common::Bytes copy = framed;
       link.channel->corrupt(copy, link.rng);
@@ -88,7 +86,7 @@ bool Medium::broadcast(const wire::Packet& packet) {
                          [this, li, copy = std::move(copy)]() {
         auto packet_opt = wire::deframe(copy);
         if (!packet_opt) {
-          metrics_.registry().add(ctr_frames_corrupted_);
+          registry_.add(ctr_frames_corrupted_);
           return;
         }
         links_[li].receive(*packet_opt, queue_.now());

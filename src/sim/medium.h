@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/registry.h"
 #include "sim/channel.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
-#include "sim/metrics.h"
 #include "sim/shaper.h"
 #include "wire/frame.h"
 #include "wire/packet.h"
@@ -69,12 +69,17 @@ class Medium {
   }
   [[nodiscard]] std::size_t links() const noexcept { return links_.size(); }
 
-  [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
-  [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
+  /// This medium's own counters (medium.broadcasts, medium.frames_lost,
+  /// ...), registered at construction. Render them with
+  /// `report(/*skip_zero_counters=*/true)` to list only what happened.
+  [[nodiscard]] obs::Registry& registry() noexcept { return registry_; }
+  [[nodiscard]] const obs::Registry& registry() const noexcept {
+    return registry_;
+  }
 
   /// Extra frame copies produced by duplicating channels so far.
   [[nodiscard]] std::uint64_t duplicated_frames() const noexcept {
-    return duplicated_frames_;
+    return registry_.value(ctr_frames_duplicated_);
   }
 
  private:
@@ -90,10 +95,9 @@ class Medium {
   std::vector<Link> links_;
   std::vector<std::uint64_t> bits_by_sender_;
   std::uint64_t total_bits_ = 0;
-  std::uint64_t duplicated_frames_ = 0;
   std::map<wire::NodeId, TokenBucket> rate_limits_;
   std::map<wire::NodeId, std::uint64_t> rate_limited_;
-  Metrics metrics_;
+  obs::Registry registry_;
   // Registry handles cached at construction (per-frame path).
   obs::CounterHandle ctr_rate_limited_;
   obs::CounterHandle ctr_broadcasts_;

@@ -1,7 +1,8 @@
 // Unit tests for the evolutionary game module: payoff matrix (Table II),
 // replicator field (§V-D), ESS candidates and classification (§V-E),
-// integrators, buffer optimisation (§V-F / Algorithm 3), and the
-// bandwidth/memory models of §VI-A.
+// integrators, buffer optimisation (§V-F / Algorithm 3), the
+// bandwidth/memory models of §VI-A, and the finite-population imitation
+// and co-evolution sims.
 
 #include <gtest/gtest.h>
 
@@ -542,6 +543,160 @@ TEST(CostModel, GiveUpRegimeCostIsExactlyRa) {
       EXPECT_NEAR(defense_cost(g), g.Ra, 1e-9) << "p=" << p << " m=" << m;
     }
   }
+}
+
+}  // namespace
+}  // namespace dap::game
+
+// ------------------------------------------------- population dynamics
+
+#include "game/population.h"
+
+namespace dap::game {
+namespace {
+
+using common::Rng;
+
+TEST(PopulationSim, InitialSharesRespected) {
+  PopulationConfig config;
+  config.initial_x = 0.3;
+  config.initial_y = 0.7;
+  PopulationSim sim(config, GameParams::paper_defaults(0.8, 20), Rng(9));
+  EXPECT_NEAR(sim.defender_share(), 0.3, 1e-3);
+  EXPECT_NEAR(sim.attacker_share(), 0.7, 1e-3);
+}
+
+TEST(PopulationSim, SharesStayInUnitInterval) {
+  PopulationConfig config;
+  PopulationSim sim(config, GameParams::paper_defaults(0.8, 4), Rng(10));
+  for (const auto& s : sim.run(2000)) {
+    EXPECT_GE(s.x, 0.0);
+    EXPECT_LE(s.x, 1.0);
+    EXPECT_GE(s.y, 0.0);
+    EXPECT_LE(s.y, 1.0);
+  }
+}
+
+TEST(PopulationSim, ConvergesToOdeAttractorFullDefense) {
+  // m = 6, p = 0.8 -> ESS (1,1); the finite population should end near it.
+  PopulationConfig config;
+  config.defenders = 4000;
+  config.attackers = 4000;
+  const auto g = GameParams::paper_defaults(0.8, 6);
+  PopulationSim sim(config, g, Rng(11));
+  (void)sim.run(4000);
+  EXPECT_GT(sim.defender_share(), 0.97);
+  EXPECT_GT(sim.attacker_share(), 0.97);
+}
+
+TEST(PopulationSim, ConvergesNearInteriorEss) {
+  // m = 30, p = 0.8 -> interior ESS; agent dynamics orbit near it, so
+  // compare a window average of the stochastic orbit.
+  PopulationConfig config;
+  config.defenders = 8000;
+  config.attackers = 8000;
+  const auto g = GameParams::paper_defaults(0.8, 30);
+  const auto ess = solve_ess(g);
+  PopulationSim sim(config, g, Rng(12));
+  const auto w = sim.run_and_average(20000, 2000);
+  EXPECT_NEAR(w.mean.x, ess.point.x, 0.08);
+  EXPECT_NEAR(w.mean.y, ess.point.y, 0.08);
+}
+
+TEST(PopulationSim, RejectsBadConfig) {
+  PopulationConfig config;
+  config.defenders = 0;
+  EXPECT_THROW(
+      PopulationSim(config, GameParams::paper_defaults(0.8, 4), Rng(13)),
+      std::invalid_argument);
+  config.defenders = 10;
+  config.initial_x = 1.5;
+  EXPECT_THROW(
+      PopulationSim(config, GameParams::paper_defaults(0.8, 4), Rng(13)),
+      std::invalid_argument);
+  config.initial_x = 0.5;
+  config.imitation_rate = 0.0;
+  EXPECT_THROW(
+      PopulationSim(config, GameParams::paper_defaults(0.8, 4), Rng(13)),
+      std::invalid_argument);
+}
+
+TEST(CoevolutionSim, FindsFullConflictEssFromSampledPayoffs) {
+  // m = 6, p = 0.8: ESS (1,1). No agent knows the game; imitation on
+  // realized payoffs must still drive both populations to the corner.
+  const auto g = GameParams::paper_defaults(0.8, 6);
+  CoevolutionConfig config;
+  CoevolutionSim sim(config, g, Rng(501));
+  const auto w = sim.run_and_average(12000, 4000);
+  EXPECT_GT(w.mean.x, 0.98);
+  EXPECT_GT(w.mean.y, 0.97);
+}
+
+TEST(CoevolutionSim, FindsInteriorEssFromSampledPayoffs) {
+  const auto g = GameParams::paper_defaults(0.8, 30);
+  const auto ess = solve_ess(g);
+  CoevolutionConfig config;
+  CoevolutionSim sim(config, g, Rng(502));
+  const auto w = sim.run_and_average(16000, 6000);
+  EXPECT_NEAR(w.mean.x, ess.point.x, 0.05);
+  // The attacker mix is hypersensitive to the defender mix near X = 1
+  // (dY/dX ~ -Ra(1-P)/(k1 xa) ~ -12), so Y carries a visible
+  // mutation-induced offset; the regime is still unmistakable.
+  EXPECT_NEAR(w.mean.y, ess.point.y, 0.12);
+}
+
+TEST(CoevolutionSim, FindsGiveUpRegimeFromSampledPayoffs) {
+  const auto g = GameParams::paper_defaults(0.8, 70);
+  const auto ess = solve_ess(g);
+  ASSERT_EQ(ess.kind, EssKind::kPartialDefenseFullAttack);
+  CoevolutionConfig config;
+  CoevolutionSim sim(config, g, Rng(503));
+  const auto w = sim.run_and_average(12000, 4000);
+  EXPECT_NEAR(w.mean.x, ess.point.x, 0.05);
+  EXPECT_GT(w.mean.y, 0.95);
+}
+
+TEST(CoevolutionSim, CustomOutcomeModelShiftsEquilibrium) {
+  // If attacks against buffers *always* fail (P = 0 instead of p^m), the
+  // attacker population should attack much less than under p^m.
+  const auto g = GameParams::paper_defaults(0.8, 4);  // p^m = 0.41
+  CoevolutionConfig config;
+  CoevolutionSim baseline(config, g, Rng(504));
+  const auto with_pm = baseline.run_and_average(8000, 3000);
+  CoevolutionSim hardened(config, g, Rng(504));
+  hardened.set_attack_outcome([](common::Rng&) { return false; });
+  const auto with_zero = hardened.run_and_average(8000, 3000);
+  EXPECT_GT(with_pm.mean.y, with_zero.mean.y + 0.1);
+}
+
+TEST(CoevolutionSim, SharesStayInUnitInterval) {
+  const auto g = GameParams::paper_defaults(0.8, 20);
+  CoevolutionConfig config;
+  config.defenders = 300;
+  config.attackers = 300;
+  CoevolutionSim sim(config, g, Rng(505));
+  for (const auto& s : sim.run(2000)) {
+    EXPECT_GE(s.x, 0.0);
+    EXPECT_LE(s.x, 1.0);
+    EXPECT_GE(s.y, 0.0);
+    EXPECT_LE(s.y, 1.0);
+  }
+}
+
+TEST(CoevolutionSim, RejectsBadConfig) {
+  const auto g = GameParams::paper_defaults(0.8, 10);
+  CoevolutionConfig config;
+  config.defenders = 0;
+  EXPECT_THROW(CoevolutionSim(config, g, Rng(1)), std::invalid_argument);
+  config.defenders = 10;
+  config.observation_rounds = 0;
+  EXPECT_THROW(CoevolutionSim(config, g, Rng(1)), std::invalid_argument);
+  config.observation_rounds = 4;
+  config.imitation_rate = 0.0;
+  EXPECT_THROW(CoevolutionSim(config, g, Rng(1)), std::invalid_argument);
+  config.imitation_rate = 0.001;
+  CoevolutionSim ok(config, g, Rng(1));
+  EXPECT_THROW(ok.set_attack_outcome(nullptr), std::invalid_argument);
 }
 
 }  // namespace

@@ -7,13 +7,13 @@
 #include <map>
 #include <vector>
 
-#include "core/adaptive_defender.h"
 #include "dap/dap.h"
 #include "dap/multi_sender.h"
 #include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/event_queue.h"
 #include "sim/medium.h"
+#include "strategy/defender.h"
 #include "tesla/mutesla.h"
 #include "tesla/tesla.h"
 #include "tesla/timesync.h"
@@ -186,55 +186,57 @@ TEST(Integration, AdaptiveDefenderEndToEndOverMedium) {
   Rng rng(4);
   sim::Medium medium(queue, rng);
 
-  core::AdaptiveConfig config;
-  config.dap.chain_length = 128;
-  config.dap.buffers = 1;
-  config.dap.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  protocol::DapConfig dap_config;
+  dap_config.chain_length = 128;
+  dap_config.buffers = 1;
+  dap_config.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  strategy::AdaptiveConfig config;
   config.retune_period = 4;
   config.estimator_smoothing = 0.5;
-  protocol::DapSender sender(config.dap, bytes_of("seed"));
-  core::AdaptiveDefender defender(config, sender.chain().commitment(),
-                                  bytes_of("local"), sim::LooseClock(0, 0),
-                                  rng.fork(1));
-  sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
+  protocol::DapSender sender(dap_config, bytes_of("seed"));
+  protocol::DapReceiver receiver(dap_config, sender.chain().commitment(),
+                                 bytes_of("local"), sim::LooseClock(0, 0),
+                                 rng.fork(1));
+  strategy::AdaptiveDefender defender(config);
+  sim::FloodingForger forger(dap_config.sender_id, dap_config.mac_size,
                              rng.fork(2));
 
   std::map<std::uint32_t, std::size_t> announce_counts;
   medium.attach(
       [&](const wire::Packet& packet, sim::SimTime now) {
         if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
-          defender.receive(*a, now);
+          receiver.receive(*a, now);
           ++announce_counts[a->interval];
         } else if (const auto* m =
                        std::get_if<wire::MessageReveal>(&packet)) {
-          (void)defender.receive(*m, now);
+          (void)receiver.receive(*m, now);
         }
       },
       std::make_unique<sim::PerfectChannel>());
 
   const std::uint32_t kIntervals = 40;
   for (std::uint32_t i = 1; i <= kIntervals; ++i) {
-    queue.schedule_at(config.dap.schedule.interval_start(i) + 100, [&, i] {
+    queue.schedule_at(dap_config.schedule.interval_start(i) + 100, [&, i] {
       medium.broadcast(wire::Packet{sender.announce(i, bytes_of("m"))});
       for (int f = 0; f < 9; ++f) {  // p = 0.9
         medium.broadcast(wire::Packet{forger.forge(i)});
       }
     });
-    queue.schedule_at(config.dap.schedule.interval_start(i + 1) + 100,
+    queue.schedule_at(dap_config.schedule.interval_start(i + 1) + 100,
                       [&, i] {
                         medium.broadcast(wire::Packet{sender.reveal(i)});
                       });
     // Close the interval bookkeeping right after its reveal.
-    queue.schedule_at(config.dap.schedule.interval_start(i + 1) + 200,
+    queue.schedule_at(dap_config.schedule.interval_start(i + 1) + 200,
                       [&, i] {
-                        defender.close_interval(announce_counts[i]);
+                        defender.close_interval(receiver, announce_counts[i]);
                       });
   }
   queue.run();
 
   // The estimator locked on to p ~ 0.9 and the optimiser raised m.
   EXPECT_NEAR(defender.estimated_p(), 0.9, 0.03);
-  EXPECT_GT(defender.current_buffers(), 20u);
+  EXPECT_GT(receiver.buffers(), 20u);
   // After the ramp-up the defender defeats most attacks.
   EXPECT_GT(defender.stats().attacks_defeated,
             defender.stats().attacks_succeeded);

@@ -384,7 +384,7 @@ TEST(Property, TokenBucketNeverExceedsRatePlusBurst) {
 
 #include "analysis/figures.h"
 #include "analysis/montecarlo.h"
-#include "core/coevolution.h"
+#include "game/population.h"
 
 namespace dap {
 namespace {
@@ -403,11 +403,11 @@ TEST(Property, MonteCarloRunsAreBitReproducible) {
 
 TEST(Property, CoevolutionRunsAreBitReproducible) {
   const auto g = game::GameParams::paper_defaults(0.8, 20);
-  core::CoevolutionConfig config;
+  game::CoevolutionConfig config;
   config.defenders = 200;
   config.attackers = 200;
-  core::CoevolutionSim a(config, g, common::Rng(7));
-  core::CoevolutionSim b(config, g, common::Rng(7));
+  game::CoevolutionSim a(config, g, common::Rng(7));
+  game::CoevolutionSim b(config, g, common::Rng(7));
   const auto ta = a.run(500);
   const auto tb = b.run(500);
   ASSERT_EQ(ta.size(), tb.size());

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/adversary.h"
@@ -13,11 +15,16 @@
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/medium.h"
-#include "sim/metrics.h"
 #include "sim/time.h"
 
 namespace dap::sim {
 namespace {
+
+/// A counter of the medium's own registry by name (0 when unregistered).
+std::uint64_t count(const Medium& medium, std::string_view name) {
+  const std::uint64_t* value = medium.registry().find_counter(name);
+  return value == nullptr ? 0 : *value;
+}
 
 using common::Bytes;
 using common::Rng;
@@ -336,7 +343,7 @@ TEST(Medium, LossyLinkDropsFrames) {
   q.run();
   EXPECT_GT(received, 350);
   EXPECT_LT(received, 650);
-  EXPECT_EQ(medium.metrics().count("medium.frames_lost"),
+  EXPECT_EQ(count(medium, "medium.frames_lost"),
             1000u - static_cast<unsigned>(received));
 }
 
@@ -354,9 +361,9 @@ TEST(Medium, CorruptedFramesCountedNotDelivered) {
   }
   q.run();
   EXPECT_EQ(static_cast<std::uint64_t>(received) +
-                medium.metrics().count("medium.frames_corrupted"),
+                count(medium, "medium.frames_corrupted"),
             200u);
-  EXPECT_GT(medium.metrics().count("medium.frames_corrupted"), 0u);
+  EXPECT_GT(count(medium, "medium.frames_corrupted"), 0u);
 }
 
 TEST(Medium, TracksBandwidthBySender) {
@@ -472,38 +479,58 @@ TEST(Adversary, KeyGuessForgerProducesWrongKeys) {
 }
 
 // --------------------------------------------------------------- Metrics
+// A Medium's own registry, as the crowdsensing campaign example prints it.
 
 TEST(Metrics, CountersAccumulate) {
-  Metrics m;
-  m.incr("x");
-  m.incr("x", 4);
-  EXPECT_EQ(m.count("x"), 5u);
-  EXPECT_EQ(m.count("missing"), 0u);
+  EventQueue q;
+  Rng rng(40);
+  Medium medium(q, rng);
+  obs::Registry& reg = medium.registry();
+  reg.add(reg.counter("x"));
+  reg.add(reg.counter("x"), 4);
+  EXPECT_EQ(count(medium, "x"), 5u);
+  EXPECT_EQ(reg.find_counter("missing"), nullptr);
 }
 
 TEST(Metrics, RatesAndStats) {
-  Metrics m;
-  m.mark("auth", true);
-  m.mark("auth", false);
-  ASSERT_NE(m.rate("auth"), nullptr);
-  EXPECT_DOUBLE_EQ(m.rate("auth")->rate(), 0.5);
-  m.observe("latency", 2.0);
-  m.observe("latency", 4.0);
-  ASSERT_NE(m.stats("latency"), nullptr);
-  EXPECT_DOUBLE_EQ(m.stats("latency")->mean(), 3.0);
-  EXPECT_EQ(m.rate("nope"), nullptr);
-  EXPECT_EQ(m.stats("nope"), nullptr);
+  EventQueue q;
+  Rng rng(41);
+  Medium medium(q, rng);
+  obs::Registry& reg = medium.registry();
+  reg.mark(reg.rate("auth"), true);
+  reg.mark(reg.rate("auth"), false);
+  ASSERT_NE(reg.find_rate("auth"), nullptr);
+  EXPECT_DOUBLE_EQ(reg.find_rate("auth")->rate(), 0.5);
+  reg.observe(reg.histogram("latency"), 2.0);
+  reg.observe(reg.histogram("latency"), 4.0);
+  ASSERT_NE(reg.find_histogram("latency"), nullptr);
+  EXPECT_DOUBLE_EQ(reg.find_histogram("latency")->moments().mean(), 3.0);
+  EXPECT_EQ(reg.find_rate("nope"), nullptr);
+  EXPECT_EQ(reg.find_histogram("nope"), nullptr);
 }
 
 TEST(Metrics, ReportMentionsAllEntries) {
-  Metrics m;
-  m.incr("counter.a", 3);
-  m.mark("rate.b", true);
-  m.observe("stat.c", 1.0);
-  const std::string report = m.report();
-  EXPECT_NE(report.find("counter.a"), std::string::npos);
+  EventQueue q;
+  Rng rng(42);
+  Medium medium(q, rng);
+  medium.attach([](const wire::Packet&, SimTime) {},
+                std::make_unique<PerfectChannel>());
+  medium.broadcast(wire::Packet{make_announce(1, 1)});
+  q.run();
+  obs::Registry& reg = medium.registry();
+  reg.add(reg.counter("counter.a"), 3);
+  reg.mark(reg.rate("rate.b"), true);
+  reg.observe(reg.histogram("stat.c"), 1.0);
+  const std::string report = reg.report(/*skip_zero_counters=*/true);
+  EXPECT_NE(report.find("counter.a = 3"), std::string::npos) << report;
+  EXPECT_NE(report.find("medium.broadcasts = 1"), std::string::npos);
   EXPECT_NE(report.find("rate.b"), std::string::npos);
   EXPECT_NE(report.find("stat.c"), std::string::npos);
+  // The medium registers its counters at construction; the ones that
+  // never moved stay out of the report instead of printing "= 0".
+  EXPECT_NE(reg.report().find("medium.frames_lost = 0"), std::string::npos);
+  EXPECT_EQ(report.find("medium.frames_lost"), std::string::npos) << report;
+  EXPECT_EQ(report.find("= 0"), std::string::npos) << report;
 }
 
 }  // namespace
@@ -576,7 +603,7 @@ TEST(Medium, RateLimitDropsExcessFrames) {
   EXPECT_EQ(accepted, 3);
   EXPECT_EQ(received, 3);
   EXPECT_EQ(medium.rate_limited_drops(5), 7u);
-  EXPECT_EQ(medium.metrics().count("medium.rate_limited"), 7u);
+  EXPECT_EQ(count(medium, "medium.rate_limited"), 7u);
 }
 
 TEST(Medium, RateLimitEnforcesBandwidthFraction) {
@@ -740,7 +767,7 @@ TEST(Medium, DuplicatedFramesCountAsExtraAirtime) {
   EXPECT_EQ(medium.duplicated_frames(), 1u);
   EXPECT_EQ(medium.bits_sent_by(1), 2 * wire::wire_bits(p));
   EXPECT_EQ(medium.total_bits(), 2 * wire::wire_bits(p));
-  EXPECT_EQ(medium.metrics().count("medium.frames_duplicated"), 1u);
+  EXPECT_EQ(count(medium, "medium.frames_duplicated"), 1u);
 }
 
 TEST(Medium, JitterReordersBackToBackFrames) {

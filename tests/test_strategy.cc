@@ -1,6 +1,7 @@
 // Tests for src/strategy: the adaptive replicator adversary, Sybil
-// cohorts, cooperative verification, and the MABS batch-signature
-// baseline — the pieces that close the evolutionary-game loop online.
+// cohorts, cooperative verification, the MABS batch-signature baseline,
+// and the attack estimator and adaptive defender — the pieces that close
+// the evolutionary-game loop online.
 
 #include <gtest/gtest.h>
 
@@ -260,3 +261,175 @@ TEST(Strategy, ValidateRejectsAdaptiveWithoutFlood) {
 
 }  // namespace
 }  // namespace dap
+
+// ------------------------------------------- attack estimation + defender
+
+#include "sim/adversary.h"
+#include "strategy/defender.h"
+
+namespace dap::strategy {
+namespace {
+
+using common::bytes_of;
+using common::Rng;
+
+TEST(AttackEstimator, NoTrafficMeansNoAttack) {
+  AttackEstimator est(2);
+  est.observe_interval(2);
+  EXPECT_DOUBLE_EQ(est.estimate(), 0.0);
+  est.observe_interval(1);  // fewer than expected (loss) still not attack
+  EXPECT_DOUBLE_EQ(est.estimate(), 0.0);
+}
+
+TEST(AttackEstimator, RawEstimateMatchesForgedFraction) {
+  AttackEstimator est(2, 1.0);  // no smoothing
+  est.observe_interval(10);     // 8 forged of 10
+  EXPECT_NEAR(est.estimate(), 0.8, 1e-12);
+  EXPECT_NEAR(est.last_raw(), 0.8, 1e-12);
+}
+
+TEST(AttackEstimator, EwmaSmoothsTowardNewValue) {
+  AttackEstimator est(1, 0.5);
+  est.observe_interval(5);  // raw 0.8; first observation adopts raw
+  EXPECT_NEAR(est.estimate(), 0.8, 1e-12);
+  est.observe_interval(1);  // raw 0
+  EXPECT_NEAR(est.estimate(), 0.4, 1e-12);
+  EXPECT_EQ(est.intervals_observed(), 2u);
+}
+
+TEST(AttackEstimator, EstimateStaysBelowOne) {
+  AttackEstimator est(1, 1.0);
+  est.observe_interval(100000);
+  EXPECT_LT(est.estimate(), 1.0);
+}
+
+TEST(AttackEstimator, RejectsBadConstruction) {
+  EXPECT_THROW(AttackEstimator(0), std::invalid_argument);
+  EXPECT_THROW(AttackEstimator(1, 0.0), std::invalid_argument);
+  EXPECT_THROW(AttackEstimator(1, 1.5), std::invalid_argument);
+}
+
+protocol::DapConfig dap_config() {
+  protocol::DapConfig config;
+  config.chain_length = 200;
+  config.buffers = 1;
+  config.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  return config;
+}
+
+AdaptiveConfig adaptive_config() {
+  AdaptiveConfig config;
+  config.expected_copies = 1;
+  config.retune_period = 4;
+  config.estimator_smoothing = 1.0;  // react immediately (test clarity)
+  return config;
+}
+
+protocol::DapReceiver make_receiver(const protocol::DapSender& sender,
+                                    std::uint64_t seed) {
+  return protocol::DapReceiver(dap_config(), sender.chain().commitment(),
+                               bytes_of("local"), sim::LooseClock(0, 0),
+                               Rng(seed));
+}
+
+sim::SimTime mid(std::uint32_t interval) {
+  return (interval - 1) * sim::kSecond + sim::kSecond / 2;
+}
+
+TEST(AdaptiveDefender, RetunesBuffersUnderAttack) {
+  protocol::DapSender sender(dap_config(), bytes_of("seed"));
+  auto receiver = make_receiver(sender, 1);
+  AdaptiveDefender defender(adaptive_config());
+  sim::FloodingForger forger(dap_config().sender_id, dap_config().mac_size,
+                             Rng(2));
+  EXPECT_EQ(receiver.buffers(), 1u);
+  // 8 intervals of p = 0.8 flooding (1 authentic + 4 forged copies).
+  for (std::uint32_t i = 1; i <= 8; ++i) {
+    receiver.receive(sender.announce(i, bytes_of("m")), mid(i));
+    for (int f = 0; f < 4; ++f) receiver.receive(forger.forge(i), mid(i));
+    (void)receiver.receive(sender.reveal(i), mid(i + 1));
+    defender.close_interval(receiver, 5);
+  }
+  // p̂ = 0.8 -> the paper-mode optimiser picks the first interior m (17).
+  EXPECT_NEAR(defender.estimated_p(), 0.8, 0.01);
+  EXPECT_EQ(receiver.buffers(), 17u);
+  EXPECT_EQ(defender.stats().retunes, 2u);
+  EXPECT_GT(defender.stats().defense_share_x, 0.9);
+}
+
+TEST(AdaptiveDefender, RelaxesWhenAttackStops) {
+  protocol::DapSender sender(dap_config(), bytes_of("seed"));
+  auto receiver = make_receiver(sender, 3);
+  AdaptiveDefender defender(adaptive_config());
+  sim::FloodingForger forger(dap_config().sender_id, dap_config().mac_size,
+                             Rng(4));
+  for (std::uint32_t i = 1; i <= 4; ++i) {
+    receiver.receive(sender.announce(i, bytes_of("m")), mid(i));
+    for (int f = 0; f < 9; ++f) receiver.receive(forger.forge(i), mid(i));
+    (void)receiver.receive(sender.reveal(i), mid(i + 1));
+    defender.close_interval(receiver, 10);
+  }
+  EXPECT_GT(receiver.buffers(), 10u);
+  // Attack stops; estimator (smoothing 1.0) sees clean intervals.
+  for (std::uint32_t i = 5; i <= 8; ++i) {
+    receiver.receive(sender.announce(i, bytes_of("m")), mid(i));
+    (void)receiver.receive(sender.reveal(i), mid(i + 1));
+    defender.close_interval(receiver, 1);
+  }
+  EXPECT_EQ(receiver.buffers(), 1u);
+  EXPECT_DOUBLE_EQ(defender.stats().defense_share_x, 0.0);
+}
+
+TEST(AdaptiveDefender, CostLedgerChargesDefenseAndLosses) {
+  auto config = adaptive_config();
+  config.retune_period = 1000;  // no retuning; fixed m = 1
+  protocol::DapSender sender(dap_config(), bytes_of("seed"));
+  auto receiver = make_receiver(sender, 5);
+  AdaptiveDefender defender(config);
+  // Interval 1: clean success. Interval 2: reveal for a never-announced
+  // interval (attack succeeded).
+  receiver.receive(sender.announce(1, bytes_of("m")), mid(1));
+  (void)receiver.receive(sender.reveal(1), mid(2));
+  defender.close_interval(receiver, 1);
+  (void)sender.announce(2, bytes_of("m"));
+  (void)receiver.receive(sender.reveal(2), mid(3));
+  defender.close_interval(receiver, 1);
+  EXPECT_EQ(defender.stats().attacks_defeated, 1u);
+  EXPECT_EQ(defender.stats().attacks_succeeded, 1u);
+  // Cost: 2 intervals * k2 * m(=1) + 1 loss * Ra.
+  EXPECT_NEAR(defender.stats().realized_cost, 2 * 4.0 + 200.0, 1e-9);
+  EXPECT_NEAR(defender.average_cost(), (8.0 + 200.0) / 2, 1e-9);
+}
+
+TEST(AdaptiveDefender, AdaptiveBeatsFixedSmallBufferUnderHeavyAttack) {
+  // End-to-end comparison: adaptive m vs a fixed m=1 defender under a
+  // p = 0.9 flood; the adaptive one should defeat far more attacks.
+  auto config = adaptive_config();
+  config.retune_period = 2;
+  protocol::DapSender sender_a(dap_config(), bytes_of("seed-a"));
+  protocol::DapSender sender_b(dap_config(), bytes_of("seed-a"));
+  auto adaptive = make_receiver(sender_a, 6);
+  AdaptiveDefender defender(config);
+  auto fixed = make_receiver(sender_b, 7);
+  sim::FloodingForger forger(dap_config().sender_id, dap_config().mac_size,
+                             Rng(8));
+  std::size_t adaptive_ok = 0, fixed_ok = 0;
+  for (std::uint32_t i = 1; i <= 60; ++i) {
+    const auto announce_a = sender_a.announce(i, bytes_of("m"));
+    const auto announce_b = sender_b.announce(i, bytes_of("m"));
+    adaptive.receive(announce_a, mid(i));
+    fixed.receive(announce_b, mid(i));
+    for (int f = 0; f < 9; ++f) {
+      const auto forged = forger.forge(i);
+      adaptive.receive(forged, mid(i));
+      fixed.receive(forged, mid(i));
+    }
+    if (adaptive.receive(sender_a.reveal(i), mid(i + 1))) ++adaptive_ok;
+    if (fixed.receive(sender_b.reveal(i), mid(i + 1))) ++fixed_ok;
+    defender.close_interval(adaptive, 10);
+  }
+  EXPECT_GT(adaptive_ok, 2 * fixed_ok);
+}
+
+}  // namespace
+}  // namespace dap::strategy

@@ -1,16 +1,21 @@
-// Golden vectors for the reservoir kernel (tesla/buffer.h) and the DAP
-// receiver built on it. Each table row fixes an input sequence and the
-// exact outcome it must produce; a failing row prints the row the code
-// produced, in table syntax.
+// Golden vectors for the reservoir kernel (tesla/buffer.h), the DAP
+// receiver built on it, the finite-population game sims and the adaptive
+// defender. Each table row fixes an input sequence and the exact outcome
+// it must produce; a failing row prints the row the code produced, in
+// table syntax.
 //
-// The values were recorded from the implementations the kernel replaced
-// (the DAP receiver's private record buffer for the Rng source, the
-// fleet cohort's member replay for the stateless SplitMix64 source), so
-// the tables prove the kernel makes exactly the same decisions.
+// The kernel values were recorded from the implementations the kernel
+// replaced (the DAP receiver's private record buffer for the Rng source,
+// the fleet cohort's member replay for the stateless SplitMix64 source),
+// so the tables prove the kernel makes exactly the same decisions. The
+// population and defender values were recorded before those classes
+// moved into game/ and strategy/, with the window average hand-rolled
+// the way bench/population_dynamics did it.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -20,7 +25,9 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "dap/dap.h"
+#include "game/population.h"
 #include "sim/adversary.h"
+#include "strategy/defender.h"
 #include "tesla/buffer.h"
 
 namespace dap {
@@ -258,6 +265,198 @@ TEST(GoldenVectors, ReceiverStreamsMatchTable) {
     EXPECT_EQ(row(got), row(want));
   }
   EXPECT_EQ(std::size(kReceiverVectors), 7U);  // 3 policies x d, + pool cap
+}
+
+// ------------------------------------------------- population dynamics
+
+std::string hex(double value) {
+  std::ostringstream out;
+  out << std::hexfloat << value;
+  return out.str();
+}
+
+/// Both finite-population sims (game/population.h) at 300 + 300 agents:
+/// the shares after kDynamicsSteps steps, and run_and_average on a fresh
+/// sim of the same seed.
+constexpr std::size_t kDynamicsSteps = 300;
+constexpr std::size_t kWarmup = 200;
+constexpr std::size_t kWindow = 100;
+
+struct DynamicsVector {
+  bool coevolution;  // false = PopulationSim, true = CoevolutionSim
+  std::size_t m;
+  double x, y;            // shares after kDynamicsSteps steps
+  double mean_x, mean_y;  // run_and_average(kWarmup, kWindow)
+};
+
+template <typename Sim, typename Config>
+DynamicsVector run_dynamics(bool coevolution, std::size_t m,
+                            std::uint64_t seed) {
+  const auto g = game::GameParams::paper_defaults(0.8, m);
+  Config config;
+  config.defenders = 300;
+  config.attackers = 300;
+  Sim sim(config, g, Rng(seed));
+  const game::State after = sim.run(kDynamicsSteps).back();
+  Sim fresh(config, g, Rng(seed));
+  const game::State mean = fresh.run_and_average(kWarmup, kWindow).mean;
+  return {coevolution, m, after.x, after.y, mean.x, mean.y};
+}
+
+DynamicsVector run_dynamics(bool coevolution, std::size_t m) {
+  return coevolution
+             ? run_dynamics<game::CoevolutionSim, game::CoevolutionConfig>(
+                   true, m, 99 + m)
+             : run_dynamics<game::PopulationSim, game::PopulationConfig>(
+                   false, m, 42 + m);
+}
+
+std::string row(const DynamicsVector& v) {
+  std::ostringstream out;
+  out << "{" << (v.coevolution ? "true" : "false") << ", " << v.m << ", "
+      << hex(v.x) << ", " << hex(v.y) << ", " << hex(v.mean_x) << ", "
+      << hex(v.mean_y) << "}";
+  return out.str();
+}
+
+const DynamicsVector kDynamicsVectors[] = {
+    {false, 6, 0x1p+0, 0x1.fe4b17e4b17e5p-1, 0x1.ff8e677e05308p-1,
+     0x1.fdeaf94f536ccp-1},
+    {false, 30, 0x1.f0a3d70a3d70ap-1, 0x1.199999999999ap-1,
+     0x1.e85cd7b900aecp-1, 0x1.2e0bbdeaf94f3p-1},
+    {true, 6, 0x1.fe4b17e4b17e5p-1, 0x1.fc962fc962fc9p-1,
+     0x1.fdc3a6faf2c28p-1, 0x1.f814c0c8fa21fp-1},
+    {true, 30, 0x1.f5c28f5c28f5cp-1, 0x1.999999999999ap-1,
+     0x1.edbd194237fadp-1, 0x1.a16aa1edb45bdp-1},
+};
+
+TEST(GoldenVectors, PopulationDynamicsMatchTable) {
+  for (const DynamicsVector& want : kDynamicsVectors) {
+    const DynamicsVector got = run_dynamics(want.coevolution, want.m);
+    EXPECT_EQ(row(got), row(want));
+  }
+  EXPECT_EQ(std::size(kDynamicsVectors), 4U);  // 2 sims x 2 m
+}
+
+// --------------------------------------------------- adaptive defender
+
+/// strategy::AdaptiveDefender over the examples/adaptive_defense
+/// schedule: calm, moderate (p = 0.8), severe (p = 0.95), calm again,
+/// retuning every 5 intervals.
+struct DefenderSample {
+  std::uint32_t interval;
+  double p_hat;
+  std::size_t m;
+  double x;
+};
+
+struct DefenderRun {
+  std::vector<DefenderSample> samples;  // every 10th interval
+  std::uint64_t digest;  // FNV-1a over every interval's (p̂, m, X) bits
+  std::vector<std::uint64_t> counts;  // retunes, closed, succeeded, defeated
+  double realized_cost;
+  double defense_share_x;
+};
+
+DefenderRun run_adaptive_defense() {
+  protocol::DapConfig dap_config;
+  dap_config.chain_length = 140;
+  dap_config.buffers = 1;
+  dap_config.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  strategy::AdaptiveConfig config;
+  config.retune_period = 5;
+  config.estimator_smoothing = 0.5;
+  protocol::DapSender sender(dap_config, bytes_of("seed"));
+  protocol::DapReceiver receiver(dap_config, sender.chain().commitment(),
+                                 bytes_of("local-a"), sim::LooseClock(0, 0),
+                                 Rng(1));
+  strategy::AdaptiveDefender defender(config);
+  sim::FloodingForger forger(dap_config.sender_id, dap_config.mac_size,
+                             Rng(3));
+  const auto mid = [](std::uint32_t i) {
+    return (i - 1) * sim::kSecond + sim::kSecond / 2;
+  };
+
+  DefenderRun out{{}, 0xcbf29ce484222325ULL, {}, 0, 0};
+  const auto fold = [&out](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      out.digest = (out.digest ^ ((word >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  const auto bits = [](double value) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof word);
+    return word;
+  };
+  const std::pair<std::uint32_t, std::size_t> phases[] = {
+      {30, 0}, {30, 4}, {40, 19}, {30, 0}};
+  std::uint32_t interval = 0;
+  for (const auto& [intervals, forged] : phases) {
+    for (std::uint32_t k = 0; k < intervals; ++k) {
+      ++interval;
+      receiver.receive(sender.announce(interval, bytes_of("telemetry")),
+                       mid(interval));
+      for (std::size_t f = 0; f < forged; ++f) {
+        receiver.receive(forger.forge(interval), mid(interval));
+      }
+      (void)receiver.receive(sender.reveal(interval), mid(interval + 1));
+      defender.close_interval(receiver, 1 + forged);
+      const DefenderSample sample{interval, defender.estimated_p(),
+                                  receiver.buffers(),
+                                  defender.stats().defense_share_x};
+      fold(bits(sample.p_hat));
+      fold(sample.m);
+      fold(bits(sample.x));
+      if (interval % 10 == 0) out.samples.push_back(sample);
+    }
+  }
+  const auto& stats = defender.stats();
+  out.counts = {stats.retunes, stats.intervals_closed,
+                stats.attacks_succeeded, stats.attacks_defeated};
+  out.realized_cost = stats.realized_cost;
+  out.defense_share_x = stats.defense_share_x;
+  return out;
+}
+
+std::string row(const DefenderSample& s) {
+  std::ostringstream out;
+  out << "{" << s.interval << ", " << hex(s.p_hat) << ", " << s.m << ", "
+      << hex(s.x) << "}";
+  return out.str();
+}
+
+const DefenderSample kDefenderSamples[] = {
+    {10, 0x0p+0, 1, 0x0p+0},
+    {20, 0x0p+0, 1, 0x0p+0},
+    {30, 0x0p+0, 1, 0x0p+0},
+    {40, 0x1.9933333333334p-1, 17, 0x1.fd20aa57847bep-1},
+    {50, 0x1.99998p-1, 17, 0x1.fd4bd29ee69ap-1},
+    {60, 0x1.9999999333334p-1, 17, 0x1.fd4bdd812e5b5p-1},
+    {70, 0x1.e653333331999p-1, 50, 0x1.d8e8214ebbd4fp-1},
+    {80, 0x1.e666619999993p-1, 50, 0x1.d89abe7f7c96cp-1},
+    {90, 0x1.e666666533333p-1, 50, 0x1.d89aab140cb66p-1},
+    {100, 0x1.e666666666199p-1, 50, 0x1.d89aab0f31d96p-1},
+    {110, 0x1.e666666666199p-11, 2, 0x1.ffffa05c9ca89p-1},
+    {120, 0x1.e666666666199p-21, 2, 0x1.ffffffe0e0a0bp-1},
+    {130, 0x1.e666666666199p-31, 2, 0x1.fffffffff837bp-1},
+};
+constexpr std::uint64_t kDefenderDigest = 0xb9833d36cb54f9acULL;
+const std::uint64_t kDefenderCounts[] = {26, 130, 3, 127};
+constexpr double kDefenderRealizedCost = 0x1.522p+13;
+constexpr double kDefenderShareX = 0x1.fffffffff837bp-1;
+
+TEST(GoldenVectors, AdaptiveDefenderScheduleMatchesTable) {
+  const DefenderRun got = run_adaptive_defense();
+  ASSERT_EQ(got.samples.size(), std::size(kDefenderSamples));
+  for (std::size_t i = 0; i < got.samples.size(); ++i) {
+    EXPECT_EQ(row(got.samples[i]), row(kDefenderSamples[i]));
+  }
+  EXPECT_EQ(got.digest, kDefenderDigest) << std::hex << got.digest;
+  EXPECT_EQ(got.counts,
+            std::vector<std::uint64_t>(std::begin(kDefenderCounts),
+                                       std::end(kDefenderCounts)));
+  EXPECT_EQ(hex(got.realized_cost), hex(kDefenderRealizedCost));
+  EXPECT_EQ(hex(got.defense_share_x), hex(kDefenderShareX));
 }
 
 }  // namespace
