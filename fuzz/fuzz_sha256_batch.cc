@@ -3,8 +3,9 @@
 //
 // The input is interpreted as a batch description (message count, per
 // message length and bytes, an HMAC key, chain-walk parameters). For
-// every compiled-in backend the harness checks, bit for bit:
-//   1. sha256_many() equals the scalar Sha256 oracle on every message.
+// every backend in supported_sha256_backends() the harness checks, bit
+// for bit, against oracles computed with the backend forced to scalar:
+//   1. sha256_many() and the streaming Sha256 equal the oracle digest.
 //   2. hmac_many() equals the one-shot hmac_sha256() on every message.
 //   3. prf_walk_many() trajectories equal sequential prf_bytes() walks.
 // Any mismatch aborts, so libFuzzer (or the ctest corpus replay) treats
@@ -58,7 +59,20 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   std::vector<dap::common::ByteView> views(messages.begin(), messages.end());
 
-  // Scalar oracle digests, computed once.
+  // Chain-walk shape: bounded step counts keep the harness fast.
+  const std::size_t key_size =
+      messages.empty() ? 1 : 1 + stream.u8() % crypto::kSha256DigestSize;
+  std::vector<dap::common::Bytes> starts(messages.size());
+  std::vector<std::uint32_t> steps(messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    starts[i] = messages[i];
+    starts[i].resize(key_size, 0x5A);
+    steps[i] = stream.u8() % 9;
+  }
+
+  // Oracle digests, MACs and walks, computed once on the portable C
+  // kernel (forcing scalar keeps the streaming path off SHA-NI).
+  crypto::force_sha256_backend(crypto::Sha256Backend::kScalar);
   std::vector<crypto::Digest> expected(count);
   for (std::size_t i = 0; i < count; ++i) {
     crypto::Sha256 h;
@@ -70,19 +84,29 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   for (std::size_t i = 0; i < count; ++i) {
     expected_macs[i] = crypto::hmac_sha256(key, views[i]);
   }
+  // Packed like prf_walk_many's output: each step's key back to back.
+  std::vector<dap::common::Bytes> expected_walks(starts.size());
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    dap::common::Bytes current = starts[i];
+    for (std::uint32_t s = 0; s < steps[i]; ++s) {
+      current = crypto::prf_bytes(crypto::PrfDomain::kChainStep, current,
+                                  key_size);
+      expected_walks[i].insert(expected_walks[i].end(), current.begin(),
+                               current.end());
+    }
+  }
 
-  constexpr crypto::Sha256Backend kBackends[] = {
-      crypto::Sha256Backend::kScalar, crypto::Sha256Backend::kSse2,
-      crypto::Sha256Backend::kAvx2};
-  for (const crypto::Sha256Backend backend : kBackends) {
-    // force clamps to what the build/host supports, so every iteration
-    // is a valid (possibly repeated) backend.
+  for (const crypto::Sha256Backend backend :
+       crypto::supported_sha256_backends()) {
     crypto::force_sha256_backend(backend);
     std::vector<crypto::Digest> out(count);
     crypto::sha256_many(views, out);
     for (std::size_t i = 0; i < count; ++i) {
-      if (!digest_equal(out[i], expected[i])) {
-        fail("sha256_many diverged from the scalar oracle");
+      crypto::Sha256 h;
+      h.update(views[i]);
+      if (!digest_equal(out[i], expected[i]) ||
+          !digest_equal(h.finalize(), expected[i])) {
+        fail("sha256_many or Sha256 diverged from the scalar oracle");
       }
     }
     std::vector<crypto::Digest> macs(count);
@@ -92,35 +116,18 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         fail("hmac_many diverged from hmac_sha256");
       }
     }
-  }
-
-  // Chain-walk equivalence: bounded step counts keep the harness fast.
-  if (!messages.empty()) {
-    const std::size_t key_size = 1 + stream.u8() % crypto::kSha256DigestSize;
-    std::vector<dap::common::Bytes> starts(messages.size());
-    std::vector<std::uint32_t> steps(messages.size());
-    for (std::size_t i = 0; i < messages.size(); ++i) {
-      starts[i] = messages[i];
-      starts[i].resize(key_size, 0x5A);
-      steps[i] = stream.u8() % 9;
-    }
-    std::vector<std::vector<dap::common::Bytes>> traj;
+    std::vector<dap::common::Bytes> traj;
     crypto::prf_walk_many(crypto::PrfDomain::kChainStep, starts, steps,
                           key_size, traj);
     if (traj.size() != starts.size()) {
       fail("prf_walk_many returned the wrong trajectory count");
     }
     for (std::size_t i = 0; i < starts.size(); ++i) {
-      if (traj[i].size() != steps[i]) {
+      if (traj[i].size() != expected_walks[i].size()) {
         fail("prf_walk_many trajectory has the wrong length");
       }
-      dap::common::Bytes current = starts[i];
-      for (std::uint32_t s = 0; s < steps[i]; ++s) {
-        current = crypto::prf_bytes(crypto::PrfDomain::kChainStep, current,
-                                    key_size);
-        if (!dap::common::equal(traj[i][s], current)) {
-          fail("prf_walk_many diverged from sequential prf_bytes");
-        }
+      if (!dap::common::equal(traj[i], expected_walks[i])) {
+        fail("prf_walk_many diverged from sequential prf_bytes");
       }
     }
   }

@@ -276,11 +276,17 @@ def sha256_batch_seeds():
     walk_heavy = (u8(4) + msg(10, 1) + msg(10, 2) + msg(10, 3) + msg(10, 4) +
                   u8(16) + b"\x55" * 16 +
                   u8(9) + u8(8) + u8(0) + u8(5) + u8(1))
+    # Multi-block messages: full-block runs go to the SHA-NI kernel in one
+    # call, so lengths of 2..3 whole blocks plus ragged tails cover it.
+    multi_block = (u8(3) + msg(255, 0x61) + msg(128, 0x62) + msg(192, 0x63) +
+                   u8(80) + bytes(range(80)) +
+                   u8(19) + u8(4) + u8(2) + u8(7))
     return {
         "block_boundaries": boundary,
         "nine_lanes": lanes,
         "long_key": long_key,
         "walk_heavy": walk_heavy,
+        "multi_block": multi_block,
         "single_empty": u8(1) + u8(0) + u8(0) + u8(0) + u8(0),
         "empty": b"",
     }

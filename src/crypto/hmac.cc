@@ -48,7 +48,7 @@ Sha256Midstate pad_midstate(
     block[i] = static_cast<std::uint8_t>(key_block[i] ^ pad);
   }
   Sha256Midstate ms = sha256_initial_midstate();
-  sha256_compress(ms.state.data(), block.data());
+  sha256_compress_blocks(ms.state.data(), block.data(), 1);
   ms.bytes = kSha256BlockSize;
   return ms;
 }

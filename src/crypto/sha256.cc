@@ -1,13 +1,95 @@
 #include "crypto/sha256.h"
 
+#include <atomic>
 #include <bit>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/contracts.h"
 
+#if defined(DAP_CRYPTO_HAVE_SHANI)
+#include <cpuid.h>
+#endif
+
 namespace dap::crypto {
 
+namespace detail {
+#if defined(DAP_CRYPTO_HAVE_SHANI)
+// Defined in sha256_shani.cc, compiled with -msha -msse4.1 behind the
+// DAP_SIMD build option. Only ever called after a runtime CPUID check.
+void sha256_compress_shani(std::uint32_t state[8], const std::uint8_t* data,
+                           std::size_t nblocks) noexcept;
+#endif
+}  // namespace detail
+
 namespace {
+
+// Test/debug override; -1 means "auto". Process-wide by design: the
+// backend is a pure performance knob (outputs are backend-invariant).
+// lint: allow(global-state): runtime backend override must be visible to
+// every thread; outputs are bitwise identical regardless of its value.
+std::atomic<int> g_forced_backend{-1};
+
+#if defined(DAP_CRYPTO_HAVE_SHANI)
+// CPUID leaf 7 EBX bit 29 (SHA), plus the SSSE3 (leaf 1 ECX bit 9) and
+// SSE4.1 (leaf 1 ECX bit 19) shuffles and blends the kernel leans on.
+bool cpu_has_shani() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return ssse3 && sse41 && (ebx & (1u << 29)) != 0;
+}
+#endif
+
+bool backend_supported(Sha256Backend backend) noexcept {
+  switch (backend) {
+    case Sha256Backend::kScalar:
+      return true;
+    case Sha256Backend::kSse2:
+#if defined(__SSE2__) || defined(__x86_64__)
+      return true;
+#else
+      return false;
+#endif
+    case Sha256Backend::kAvx2:
+#if defined(DAP_CRYPTO_HAVE_AVX2) && \
+    (defined(__x86_64__) || defined(__i386__))
+      return __builtin_cpu_supports("avx2") != 0;
+#else
+      return false;
+#endif
+    case Sha256Backend::kShaNi: {
+#if defined(DAP_CRYPTO_HAVE_SHANI)
+      static const bool has_shani = cpu_has_shani();
+      return has_shani;
+#else
+      return false;
+#endif
+    }
+  }
+  return false;
+}
+
+Sha256Backend clamp_to_supported(Sha256Backend want) noexcept {
+  while (!backend_supported(want)) {
+    want = static_cast<Sha256Backend>(static_cast<std::uint8_t>(want) - 1);
+  }
+  return want;
+}
+
+Sha256Backend detect_backend() noexcept {
+  if (const char* env = std::getenv("DAP_CRYPTO_BACKEND")) {
+    const std::string_view v(env);
+    if (v == "scalar") return Sha256Backend::kScalar;
+    if (v == "sse2") return clamp_to_supported(Sha256Backend::kSse2);
+    if (v == "avx2") return clamp_to_supported(Sha256Backend::kAvx2);
+    if (v == "shani") return clamp_to_supported(Sha256Backend::kShaNi);
+    // Unknown values fall through to auto-detection.
+  }
+  return best_supported_sha256_backend();
+}
 
 constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
@@ -41,6 +123,68 @@ void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
 }
 
 }  // namespace
+
+std::string_view backend_name(Sha256Backend backend) noexcept {
+  switch (backend) {
+    case Sha256Backend::kScalar:
+      return "scalar";
+    case Sha256Backend::kSse2:
+      return "sse2";
+    case Sha256Backend::kAvx2:
+      return "avx2";
+    case Sha256Backend::kShaNi:
+      return "shani";
+  }
+  return "unknown";
+}
+
+std::size_t backend_lanes(Sha256Backend backend) noexcept {
+  switch (backend) {
+    case Sha256Backend::kScalar:
+    case Sha256Backend::kShaNi:
+      return 1;
+    case Sha256Backend::kSse2:
+      return 4;
+    case Sha256Backend::kAvx2:
+      return 8;
+  }
+  return 1;
+}
+
+Sha256Backend best_supported_sha256_backend() noexcept {
+  return clamp_to_supported(Sha256Backend::kShaNi);
+}
+
+std::vector<Sha256Backend> supported_sha256_backends() {
+  std::vector<Sha256Backend> out;
+  for (const Sha256Backend b : {Sha256Backend::kScalar, Sha256Backend::kSse2,
+                                Sha256Backend::kAvx2, Sha256Backend::kShaNi}) {
+    if (backend_supported(b)) out.push_back(b);
+  }
+  return out;
+}
+
+Sha256Backend active_sha256_backend() noexcept {
+  const int forced = g_forced_backend.load(std::memory_order_relaxed);
+  if (forced >= 0) return static_cast<Sha256Backend>(forced);
+  static const Sha256Backend detected = detect_backend();
+  return detected;
+}
+
+void force_sha256_backend(Sha256Backend backend) noexcept {
+  g_forced_backend.store(static_cast<int>(clamp_to_supported(backend)),
+                         std::memory_order_relaxed);
+}
+
+void clear_sha256_backend_override() noexcept {
+  g_forced_backend.store(-1, std::memory_order_relaxed);
+}
+
+Sha256Backend streaming_sha256_backend() noexcept {
+  return active_sha256_backend() == Sha256Backend::kShaNi
+             ? Sha256Backend::kShaNi
+             : Sha256Backend::kScalar;
+}
 
 Sha256::Sha256() noexcept { reset(); }
 
@@ -112,8 +256,17 @@ void sha256_compress(std::uint32_t state[8],
   state[7] += h;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  sha256_compress(state_.data(), block);
+void sha256_compress_blocks(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t nblocks) noexcept {
+#if defined(DAP_CRYPTO_HAVE_SHANI)
+  if (streaming_sha256_backend() == Sha256Backend::kShaNi) {
+    detail::sha256_compress_shani(state, data, nblocks);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < nblocks; ++i) {
+    sha256_compress(state, data + kSha256BlockSize * i);
+  }
 }
 
 void Sha256::update(common::ByteView data) noexcept {
@@ -126,13 +279,14 @@ void Sha256::update(common::ByteView data) noexcept {
     buffered_ += take;
     offset = take;
     if (buffered_ == 64) {
-      process_block(buffer_.data());
+      sha256_compress_blocks(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t full_blocks = (data.size() - offset) / 64;
+  if (full_blocks > 0) {
+    sha256_compress_blocks(state_.data(), data.data() + offset, full_blocks);
+    offset += 64 * full_blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -142,19 +296,21 @@ void Sha256::update(common::ByteView data) noexcept {
 
 Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-  const std::uint8_t pad_byte = 0x80;
-  update(common::ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(common::ByteView(&zero, 1));
+  // Padding: 0x80, zeros, then 64-bit big-endian bit length — written
+  // straight into the buffer, spilling into a second block when the
+  // buffered tail leaves no room for the length (tail > 55 bytes).
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    sha256_compress_blocks(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> len;
-  for (int i = 0; i < 8; ++i) {
-    len[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(common::ByteView(len.data(), len.size()));
+  sha256_compress_blocks(state_.data(), buffer_.data(), 1);
+  buffered_ = 0;
 
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {

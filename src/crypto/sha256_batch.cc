@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
@@ -56,12 +54,6 @@ const BatchTelemetry& batch_telemetry() {
                           reg.counter("crypto.chain_walk_steps")};
   });
 }
-
-// Test/debug override; -1 means "auto". Process-wide by design: the
-// backend is a pure performance knob (outputs are backend-invariant).
-// lint: allow(global-state): runtime backend override must be visible to
-// every thread; outputs are bitwise identical regardless of its value.
-std::atomic<int> g_forced_backend{-1};
 
 std::uint32_t load_be32(const std::uint8_t* p) noexcept {
   return (static_cast<std::uint32_t>(p[0]) << 24) |
@@ -210,30 +202,14 @@ void compress_lanes(Sha256Backend backend, std::uint32_t* states,
       }
 #endif
       break;
+    case Sha256Backend::kShaNi:
+      // One lane; the streaming dispatch routes it to the SHA-NI kernel.
+      sha256_compress_blocks(states, blocks[0], 1);
+      return;
     case Sha256Backend::kScalar:
       break;
   }
   compress_lanes_scalar(states, blocks, lanes);
-}
-
-// ---- backend selection ---------------------------------------------------
-
-Sha256Backend clamp_to_supported(Sha256Backend want) noexcept {
-  const Sha256Backend best = best_supported_sha256_backend();
-  return static_cast<std::uint8_t>(want) <= static_cast<std::uint8_t>(best)
-             ? want
-             : best;
-}
-
-Sha256Backend detect_backend() noexcept {
-  if (const char* env = std::getenv("DAP_CRYPTO_BACKEND")) {
-    const std::string_view v(env);
-    if (v == "scalar") return Sha256Backend::kScalar;
-    if (v == "sse2") return clamp_to_supported(Sha256Backend::kSse2);
-    if (v == "avx2") return clamp_to_supported(Sha256Backend::kAvx2);
-    // Unknown values fall through to auto-detection.
-  }
-  return best_supported_sha256_backend();
 }
 
 // ---- batched hashing core ------------------------------------------------
@@ -352,58 +328,6 @@ void hash_resume_batch(std::span<const Sha256Midstate* const> seeds,
 
 }  // namespace
 
-std::string_view backend_name(Sha256Backend backend) noexcept {
-  switch (backend) {
-    case Sha256Backend::kScalar:
-      return "scalar";
-    case Sha256Backend::kSse2:
-      return "sse2";
-    case Sha256Backend::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-std::size_t backend_lanes(Sha256Backend backend) noexcept {
-  switch (backend) {
-    case Sha256Backend::kScalar:
-      return 1;
-    case Sha256Backend::kSse2:
-      return 4;
-    case Sha256Backend::kAvx2:
-      return 8;
-  }
-  return 1;
-}
-
-Sha256Backend best_supported_sha256_backend() noexcept {
-#if defined(DAP_CRYPTO_HAVE_AVX2) && \
-    (defined(__x86_64__) || defined(__i386__))
-  if (__builtin_cpu_supports("avx2")) return Sha256Backend::kAvx2;
-#endif
-#if defined(DAP_CRYPTO_HAVE_SSE2)
-  return Sha256Backend::kSse2;
-#else
-  return Sha256Backend::kScalar;
-#endif
-}
-
-Sha256Backend active_sha256_backend() noexcept {
-  const int forced = g_forced_backend.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Sha256Backend>(forced);
-  static const Sha256Backend detected = detect_backend();
-  return detected;
-}
-
-void force_sha256_backend(Sha256Backend backend) noexcept {
-  g_forced_backend.store(static_cast<int>(clamp_to_supported(backend)),
-                         std::memory_order_relaxed);
-}
-
-void clear_sha256_backend_override() noexcept {
-  g_forced_backend.store(-1, std::memory_order_relaxed);
-}
-
 void sha256_many(std::span<const common::ByteView> msgs,
                  std::span<Digest> out) {
   const std::size_t n = msgs.size();
@@ -451,7 +375,7 @@ void hmac_many(std::span<const HmacKey* const> keys,
 
 void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
                    std::span<const std::uint32_t> steps, std::size_t key_size,
-                   std::vector<std::vector<common::Bytes>>& trajectories) {
+                   std::vector<common::Bytes>& trajectories) {
   const std::size_t n = start.size();
   DAP_REQUIRE(steps.size() == n,
               "prf_walk_many: one step count per start value");
@@ -462,7 +386,7 @@ void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
   for (std::size_t i = 0; i < n; ++i) {
     DAP_REQUIRE(start[i].size() == key_size,
                 "prf_walk_many: start values must have size key_size");
-    trajectories[i].reserve(steps[i]);
+    trajectories[i].reserve(std::size_t{steps[i]} * key_size);
   }
 
   const HmacKey& key = prf_key(domain);
@@ -565,10 +489,9 @@ void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
       for (std::size_t v = 0; v < 8; ++v) {
         store_be32(digest.data() + 4 * v, states[8 * l + v]);
       }
-      trajectories[lane[l].msg].emplace_back(digest.begin(),
-                                             digest.begin() +
-                                                 static_cast<std::ptrdiff_t>(
-                                                     key_size));
+      trajectories[lane[l].msg].insert(
+          trajectories[lane[l].msg].end(), digest.begin(),
+          digest.begin() + static_cast<std::ptrdiff_t>(key_size));
       std::memcpy(lane[l].inner_block.data(), digest.data(), key_size);
       if (--lane[l].remaining == 0) {
         lane[l].active = false;

@@ -4,19 +4,19 @@
 // Every DAP announce, μMAC check, and TESLA chain reveal bottoms out in
 // SHA-256, and the messages are *independent* — so the hot paths batch
 // them and compress 4 (SSE2) or 8 (AVX2) message schedules in lockstep,
-// one lane per message, with the scalar `Sha256` kept as the reference
-// oracle. Every entry point here is bitwise identical to the scalar path
-// for every backend, batch size, and lane count; the test suite and the
-// fuzz harness enforce that exactly.
+// one lane per message, or hand each block to the 1-lane SHA-NI kernel,
+// with the scalar `sha256_compress` kept as the reference oracle. Every
+// entry point here is bitwise identical to the scalar path for every
+// backend, batch size, and lane count; the test suite and the fuzz
+// harness enforce that exactly.
 //
 // Layering: this header sits *below* dap/tesla/fleet (they call down into
 // it, never the reverse) and is its own `crypto_batch` node in the lint
 // layering DAG so the kernels can never grow an upward dependency.
 //
-// Backend selection is runtime CPUID dispatch (AVX2 → SSE2 → scalar),
-// overridable via the `DAP_CRYPTO_BACKEND` environment variable
-// (`scalar` | `sse2` | `avx2`, clamped to what the host/build supports)
-// and programmatically via `force_sha256_backend()` for tests.
+// Backend selection is the runtime CPUID dispatch of crypto/sha256.h
+// (SHA-NI → AVX2 → SSE2 → scalar), overridable via `DAP_CRYPTO_BACKEND`
+// and `force_sha256_backend()`.
 //
 // Telemetry (all deterministic for a fixed workload):
 //   crypto.batch.calls            batched entry-point invocations
@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -39,33 +38,8 @@
 
 namespace dap::crypto {
 
-enum class Sha256Backend : std::uint8_t {
-  kScalar = 0,  // reference path, 1 lane
-  kSse2 = 1,    // 4 lanes (baseline x86-64; scalar elsewhere)
-  kAvx2 = 2,    // 8 lanes (requires DAP_SIMD build + host support)
-};
-
-/// Stable lowercase name ("scalar" / "sse2" / "avx2").
-[[nodiscard]] std::string_view backend_name(Sha256Backend backend) noexcept;
-
-/// Lanes the backend compresses in lockstep (1 / 4 / 8).
-[[nodiscard]] std::size_t backend_lanes(Sha256Backend backend) noexcept;
-
-/// The backend the batch entry points will use: the test override if set,
-/// else the `DAP_CRYPTO_BACKEND` environment override (clamped to what is
-/// compiled in and supported by the CPU), else CPUID auto-detection.
-[[nodiscard]] Sha256Backend active_sha256_backend() noexcept;
-
-/// Strongest backend this build + host can run (ignores overrides).
-[[nodiscard]] Sha256Backend best_supported_sha256_backend() noexcept;
-
-/// Pins the backend for tests (clamped to what is supported). The batch
-/// outputs are backend-independent, so this only changes *how* digests
-/// are computed, never their values.
-void force_sha256_backend(Sha256Backend backend) noexcept;
-
-/// Removes the force_sha256_backend override.
-void clear_sha256_backend_override() noexcept;
+// The backend enum, its CPUID/env selection and the test overrides live
+// in crypto/sha256.h (included above), shared with the streaming path.
 
 /// Batched one-shot hashing: out[i] = sha256(msgs[i]).
 /// Requires out.size() >= msgs.size().
@@ -84,17 +58,18 @@ void hmac_many(std::span<const HmacKey* const> keys,
                std::span<const common::ByteView> msgs, std::span<Digest> out);
 
 /// Batched PRF chain walk with full trajectory capture: trajectories[i]
-/// holds the value after 1..steps[i] applications of
-/// `prf_bytes(domain, ., key_size)` starting from start[i] — i.e.
-/// trajectories[i][s] is the key `s + 1` one-way steps below start[i].
-/// Each start value must already have size key_size. This is the
-/// workhorse of batched TESLA chain verification
+/// holds the values after 1..steps[i] applications of
+/// `prf_bytes(domain, ., key_size)` starting from start[i], packed back
+/// to back in one buffer of steps[i] * key_size bytes — the key `s + 1`
+/// one-way steps below start[i] is bytes [s * key_size, (s + 1) *
+/// key_size). Each start value must already have size key_size. This is
+/// the workhorse of batched TESLA chain verification
 /// (ChainAuthenticator::accept_many); step counts feed the same
 /// crypto.prf_calls / crypto.chain_walk_steps counters as the scalar
 /// chain_walk path.
 void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
                    std::span<const std::uint32_t> steps, std::size_t key_size,
-                   std::vector<std::vector<common::Bytes>>& trajectories);
+                   std::vector<common::Bytes>& trajectories);
 
 /// Publishes the cumulative lane-occupancy gauge
 /// (crypto.batch.lane_occupancy_pct = 100 * busy / (busy + idle)) from

@@ -111,7 +111,7 @@ std::vector<bool> ChainAuthenticator::accept_many(
       gaps.push_back(r.interval - anchor0);
     }
   }
-  std::vector<std::vector<common::Bytes>> traj;
+  std::vector<common::Bytes> traj;
   if (!starts.empty()) {
     crypto::prf_walk_many(domain_, starts, gaps, key_size_, traj);
     for (const std::uint32_t gap : gaps) walk_steps_ += gap;
@@ -119,9 +119,9 @@ std::vector<bool> ChainAuthenticator::accept_many(
 
   // Phase 2: replay the queue in order. This is accept()'s exact logic,
   // with every chain step replaced by a trajectory lookup: the value j
-  // steps below candidate K_i is traj[u][j - 1], so the compare against
-  // the *current* anchor (which earlier accepts in this very batch may
-  // have advanced) is traj[u][i - anchor - 1].
+  // steps below candidate K_i is key j - 1 of traj[u], so the compare
+  // against the *current* anchor (which earlier accepts in this very
+  // batch may have advanced) is key i - anchor - 1.
   for (const KeyReveal& r : reveals) {
     const std::uint32_t i = r.interval;
     if (r.key.empty()) {
@@ -151,20 +151,23 @@ std::vector<bool> ChainAuthenticator::accept_many(
       verdicts.push_back(accept(i, r.key));
       continue;
     }
-    const std::vector<common::Bytes>& t = traj[it->second];
+    const common::ByteView t(traj[it->second]);
+    const auto below = [&](std::uint32_t steps) {
+      return t.subspan(std::size_t{steps - 1} * key_size_, key_size_);
+    };
     const std::uint32_t old_anchor = anchor_index_;
     const std::uint32_t gap_now = i - old_anchor;
-    DAP_INVARIANT(gap_now >= 1 && gap_now <= t.size(),
+    DAP_INVARIANT(gap_now >= 1 && gap_now <= t.size() / key_size_,
                   "accept_many: trajectory must reach the current anchor");
-    if (!common::constant_time_equal(t[gap_now - 1], anchor_key_)) {
+    if (!common::constant_time_equal(below(gap_now), anchor_key_)) {
       ++rejected_;
       verdicts.push_back(false);
       continue;
     }
     for (std::uint32_t j = i; j > old_anchor; --j) {
       if (j == i || j % stride_ == 0) {
-        known_[j] = j == i ? common::Bytes(r.key.begin(), r.key.end())
-                           : t[i - j - 1];
+        const common::ByteView k = j == i ? r.key : below(i - j);
+        known_[j] = common::Bytes(k.begin(), k.end());
       }
     }
     anchor_index_ = i;

@@ -66,14 +66,25 @@ TEST(Sha256, ExactBlockBoundary) {
 
 TEST(Sha256, FiftyFiveAndFiftySixBytePadding) {
   // 55 bytes fits length in the same block; 56 forces an extra block.
-  for (std::size_t n : {55u, 56u, 63u, 64u, 65u}) {
-    const Bytes data(n, 'q');
-    Sha256 a;
-    a.update(data);
-    Sha256 b;
-    for (std::size_t i = 0; i < n; ++i) b.update(ByteView(&data[i], 1));
-    EXPECT_EQ(a.finalize(), b.finalize()) << "length " << n;
+  // Whole, byte-at-a-time and split updates (a partial block buffered
+  // across the call) must agree under every backend's streaming kernel.
+  for (const Sha256Backend backend : supported_sha256_backends()) {
+    force_sha256_backend(backend);
+    for (std::size_t n : {55u, 56u, 63u, 64u, 65u}) {
+      const Bytes data(n, 'q');
+      Sha256 a;
+      a.update(data);
+      Sha256 b;
+      for (std::size_t i = 0; i < n; ++i) b.update(ByteView(&data[i], 1));
+      Sha256 c;
+      c.update(ByteView(data).first(n / 3));
+      c.update(ByteView(data).subspan(n / 3));
+      const Digest whole = a.finalize();
+      EXPECT_EQ(whole, b.finalize()) << backend_name(backend) << " " << n;
+      EXPECT_EQ(whole, c.finalize()) << backend_name(backend) << " " << n;
+    }
   }
+  clear_sha256_backend_override();
 }
 
 TEST(Sha256, ResetRestoresInitialState) {

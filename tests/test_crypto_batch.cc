@@ -1,6 +1,8 @@
-// Exact-equality tests for the batched multi-lane SHA-256 backend:
-// every (backend, lane-count, message-length, partial-tail batch)
-// combination must be bitwise identical to the scalar oracle, HmacKey
+// Exact-equality tests for the SHA-256 backends: every (backend,
+// lane-count, message-length, partial-tail batch) combination must be
+// bitwise identical to the scalar oracle, the streaming Sha256 must match
+// the portable C kernel under every forced backend (the SHA-NI kernel
+// included), HmacKey
 // must reproduce hmac_sha256 (RFC 4231 vectors included), prf_walk_many
 // must reproduce chain_walk step by step, and
 // ChainAuthenticator::accept_many must reproduce sequential accept()
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -39,33 +42,55 @@ struct BackendGuard {
   ~BackendGuard() { clear_sha256_backend_override(); }
 };
 
-std::vector<Sha256Backend> supported_backends() {
-  std::vector<Sha256Backend> out{Sha256Backend::kScalar};
-  const auto best = best_supported_sha256_backend();
-  if (best >= Sha256Backend::kSse2) out.push_back(Sha256Backend::kSse2);
-  if (best >= Sha256Backend::kAvx2) out.push_back(Sha256Backend::kAvx2);
+// The portable C kernel alone, padding included: no Sha256 object, no
+// dispatch. Every backend's streaming and batched digests must match it.
+Digest oracle_sha256(ByteView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % kSha256BlockSize != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  Sha256Midstate ms = sha256_initial_midstate();
+  for (std::size_t off = 0; off < padded.size(); off += kSha256BlockSize) {
+    sha256_compress(ms.state.data(), padded.data() + off);
+  }
+  Digest out;
+  for (std::size_t v = 0; v < 8; ++v) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      out[4 * v + b] = static_cast<std::uint8_t>(ms.state[v] >> (24 - 8 * b));
+    }
+  }
   return out;
 }
 
 // ------------------------------------------------------ midstate plumbing
 
 TEST(Sha256Midstate, CaptureRestoreRoundTrip) {
-  const Bytes prefix(64, 'p');
+  const BackendGuard guard;
   const Bytes suffix = bytes_of("suffix data");
+  for (const Sha256Backend backend : supported_sha256_backends()) {
+    force_sha256_backend(backend);
+    // One- and three-block prefixes: the latter reaches the streaming
+    // kernel as a single multi-block run.
+    for (const std::size_t blocks : {1u, 3u}) {
+      const Bytes prefix(blocks * kSha256BlockSize, 'p');
+      Sha256 a;
+      a.update(prefix);
+      const Sha256Midstate ms = a.midstate();
+      EXPECT_EQ(ms.bytes, prefix.size());
 
-  Sha256 a;
-  a.update(prefix);
-  const Sha256Midstate ms = a.midstate();
-  EXPECT_EQ(ms.bytes, 64u);
+      Sha256 b;
+      b.restore(ms);
+      b.update(suffix);
 
-  Sha256 b;
-  b.restore(ms);
-  b.update(suffix);
-
-  Sha256 whole;
-  whole.update(prefix);
-  whole.update(suffix);
-  EXPECT_EQ(b.finalize(), whole.finalize());
+      Bytes whole(prefix);
+      whole.insert(whole.end(), suffix.begin(), suffix.end());
+      EXPECT_EQ(b.finalize(), oracle_sha256(whole))
+          << backend_name(backend) << " prefix blocks " << blocks;
+    }
+  }
 }
 
 TEST(Sha256Midstate, InitialMidstateIsEmptyHashState) {
@@ -81,9 +106,11 @@ TEST(Sha256Batch, BackendNamesAndLanes) {
   EXPECT_EQ(backend_name(Sha256Backend::kScalar), "scalar");
   EXPECT_EQ(backend_name(Sha256Backend::kSse2), "sse2");
   EXPECT_EQ(backend_name(Sha256Backend::kAvx2), "avx2");
+  EXPECT_EQ(backend_name(Sha256Backend::kShaNi), "shani");
   EXPECT_EQ(backend_lanes(Sha256Backend::kScalar), 1u);
   EXPECT_EQ(backend_lanes(Sha256Backend::kSse2), 4u);
   EXPECT_EQ(backend_lanes(Sha256Backend::kAvx2), 8u);
+  EXPECT_EQ(backend_lanes(Sha256Backend::kShaNi), 1u);
 }
 
 TEST(Sha256Batch, ForceClampsToSupported) {
@@ -93,6 +120,135 @@ TEST(Sha256Batch, ForceClampsToSupported) {
             static_cast<int>(best_supported_sha256_backend()));
   force_sha256_backend(Sha256Backend::kScalar);
   EXPECT_EQ(active_sha256_backend(), Sha256Backend::kScalar);
+}
+
+TEST(Sha256Batch, SupportedListIsOrderedAndForceable) {
+  const BackendGuard guard;
+  const std::vector<Sha256Backend> all = supported_sha256_backends();
+  ASSERT_FALSE(all.empty());
+  EXPECT_EQ(all.front(), Sha256Backend::kScalar);
+  EXPECT_EQ(all.back(), best_supported_sha256_backend());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(all[i - 1], all[i]);
+    }
+    force_sha256_backend(all[i]);
+    EXPECT_EQ(active_sha256_backend(), all[i]) << backend_name(all[i]);
+  }
+}
+
+// ------------------------------------------------ streaming-path dispatch
+
+TEST(Sha256Stream, ScalarForceRoutesStreamingThroughCKernel) {
+  const BackendGuard guard;
+  for (const Sha256Backend backend :
+       {Sha256Backend::kScalar, Sha256Backend::kSse2, Sha256Backend::kAvx2}) {
+    force_sha256_backend(backend);
+    EXPECT_EQ(streaming_sha256_backend(), Sha256Backend::kScalar)
+        << backend_name(backend);
+  }
+  force_sha256_backend(Sha256Backend::kShaNi);
+  EXPECT_EQ(streaming_sha256_backend(),
+            active_sha256_backend() == Sha256Backend::kShaNi
+                ? Sha256Backend::kShaNi
+                : Sha256Backend::kScalar);
+}
+
+TEST(Sha256Stream, EveryLengthMatchesBatchAndCOracleOnEveryBackend) {
+  const BackendGuard guard;
+  common::Rng rng(0xF1A7);
+  // 0..200 covers the empty message, the 55/56 one-vs-two padding-block
+  // split, the 63/64 block edge and three-block messages with every tail.
+  std::vector<Bytes> msgs;
+  for (std::size_t len = 0; len <= 200; ++len) msgs.push_back(rng.bytes(len));
+  std::vector<ByteView> views(msgs.begin(), msgs.end());
+  std::vector<Digest> expect(msgs.size());
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    expect[i] = oracle_sha256(views[i]);
+  }
+
+  for (const Sha256Backend backend : supported_sha256_backends()) {
+    force_sha256_backend(backend);
+    std::vector<Digest> batched(msgs.size());
+    sha256_many(views, batched);
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(sha256(views[i]), expect[i])
+          << backend_name(backend) << " length " << i;
+      EXPECT_EQ(batched[i], expect[i])
+          << backend_name(backend) << " length " << i;
+    }
+  }
+}
+
+TEST(Sha256Stream, CompressBlocksMatchesCKernelOnRandomBlocks) {
+  const BackendGuard guard;
+  common::Rng rng(0x5A41);
+  for (const Sha256Backend backend : supported_sha256_backends()) {
+    force_sha256_backend(backend);
+    // 10k random (state, block) pairs, one block per call.
+    for (int trial = 0; trial < 10000; ++trial) {
+      std::array<std::uint32_t, 8> got;
+      for (std::uint32_t& w : got) {
+        w = static_cast<std::uint32_t>(rng.next_u64());
+      }
+      std::array<std::uint32_t, 8> expect = got;
+      const Bytes block = rng.bytes(kSha256BlockSize);
+      sha256_compress_blocks(got.data(), block.data(), 1);
+      sha256_compress(expect.data(), block.data());
+      ASSERT_EQ(got, expect) << backend_name(backend) << " trial " << trial;
+    }
+    // Multi-block runs: one call over n blocks == n C compressions.
+    for (std::size_t n = 0; n <= 9; ++n) {
+      const Bytes data = rng.bytes(n * kSha256BlockSize);
+      std::array<std::uint32_t, 8> got = sha256_initial_midstate().state;
+      std::array<std::uint32_t, 8> expect = got;
+      sha256_compress_blocks(got.data(), data.data(), n);
+      for (std::size_t b = 0; b < n; ++b) {
+        sha256_compress(expect.data(), data.data() + kSha256BlockSize * b);
+      }
+      EXPECT_EQ(got, expect) << backend_name(backend) << " run of " << n;
+    }
+  }
+}
+
+TEST(Sha256Stream, Fips180AndRfc4231VectorsOnEveryBackend) {
+  const BackendGuard guard;
+  for (const Sha256Backend backend : supported_sha256_backends()) {
+    force_sha256_backend(backend);
+    const std::string name(backend_name(backend));
+    EXPECT_EQ(hex_digest(sha256({})),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        << name;
+    EXPECT_EQ(hex_digest(sha256(bytes_of("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        << name;
+    EXPECT_EQ(hex_digest(sha256(bytes_of(
+                  "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+        << name;
+    Sha256 million;
+    const Bytes chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) million.update(chunk);
+    EXPECT_EQ(hex_digest(million.finalize()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << name;
+
+    EXPECT_EQ(hex_digest(hmac_sha256(Bytes(20, 0x0b), bytes_of("Hi There"))),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
+        << name;
+    EXPECT_EQ(hex_digest(hmac_sha256(bytes_of("Jefe"),
+                                     bytes_of("what do ya want for nothing?"))),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
+        << name;
+    EXPECT_EQ(hex_digest(hmac_sha256(Bytes(20, 0xaa), Bytes(50, 0xdd))),
+              "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe")
+        << name;
+    const HmacKey oversized{ByteView(Bytes(131, 0xaa))};
+    EXPECT_EQ(hex_digest(oversized.mac(bytes_of(
+                  "Test Using Larger Than Block-Size Key - Hash Key First"))),
+              "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54")
+        << name;
+  }
 }
 
 // -------------------------------------------------- sha256_many equality
@@ -108,7 +264,7 @@ TEST(Sha256Batch, EveryLengthMatchesScalarOnEveryBackend) {
   std::vector<Digest> expect(msgs.size());
   for (std::size_t i = 0; i < msgs.size(); ++i) expect[i] = sha256(views[i]);
 
-  for (const Sha256Backend backend : supported_backends()) {
+  for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
     std::vector<Digest> got(msgs.size());
     sha256_many(views, got);
@@ -124,7 +280,7 @@ TEST(Sha256Batch, PartialTailBatchesMatchScalar) {
   common::Rng rng(0x5EED);
   // Batch sizes 1..17 exercise every partial-lane tail for 4- and 8-lane
   // kernels (1..3 and 1..7 occupied lanes plus full chunks).
-  for (const Sha256Backend backend : supported_backends()) {
+  for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
     for (std::size_t n = 1; n <= 17; ++n) {
       std::vector<Bytes> msgs;
@@ -152,7 +308,7 @@ TEST(Sha256Batch, MixedBlockCountsInOneBatch) {
     msgs.push_back(rng.bytes(len));
   }
   std::vector<ByteView> views(msgs.begin(), msgs.end());
-  for (const Sha256Backend backend : supported_backends()) {
+  for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
     std::vector<Digest> got(msgs.size());
     sha256_many(views, got);
@@ -243,7 +399,7 @@ TEST(Sha256Batch, HmacManyMatchesScalarEveryBackend) {
     msgs.push_back(rng.bytes(rng.uniform(0, 120)));
   }
   std::vector<ByteView> views(msgs.begin(), msgs.end());
-  for (const Sha256Backend backend : supported_backends()) {
+  for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
     std::vector<Digest> got(msgs.size());
     hmac_many(cached, views, got);
@@ -268,7 +424,7 @@ TEST(Sha256Batch, HmacManyPerKeyMatchesScalar) {
   std::vector<const HmacKey*> key_ptrs;
   for (const HmacKey& k : keys) key_ptrs.push_back(&k);
   std::vector<ByteView> views(msgs.begin(), msgs.end());
-  for (const Sha256Backend backend : supported_backends()) {
+  for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
     std::vector<Digest> got(msgs.size());
     hmac_many(key_ptrs, views, got);
@@ -291,17 +447,18 @@ TEST(Sha256Batch, PrfWalkManyMatchesChainWalk) {
     starts.push_back(rng.bytes(kKeySize));
     steps.push_back(s);
   }
-  for (const Sha256Backend backend : supported_backends()) {
+  for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
-    std::vector<std::vector<Bytes>> traj;
+    std::vector<Bytes> traj;
     prf_walk_many(PrfDomain::kChainStep, starts, steps, kKeySize, traj);
     ASSERT_EQ(traj.size(), starts.size());
     for (std::size_t i = 0; i < starts.size(); ++i) {
-      ASSERT_EQ(traj[i].size(), steps[i]) << backend_name(backend);
+      ASSERT_EQ(traj[i].size(), steps[i] * kKeySize) << backend_name(backend);
       Bytes current = starts[i];
       for (std::uint32_t s = 0; s < steps[i]; ++s) {
         current = prf_bytes(PrfDomain::kChainStep, current, kKeySize);
-        EXPECT_EQ(traj[i][s], current)
+        const ByteView got = ByteView(traj[i]).subspan(s * kKeySize, kKeySize);
+        EXPECT_EQ(Bytes(got.begin(), got.end()), current)
             << backend_name(backend) << " walk " << i << " step " << s;
       }
     }
@@ -322,18 +479,6 @@ using common::ByteView;
 struct BackendGuard {
   ~BackendGuard() { crypto::clear_sha256_backend_override(); }
 };
-
-std::vector<crypto::Sha256Backend> supported_backends() {
-  std::vector<crypto::Sha256Backend> out{crypto::Sha256Backend::kScalar};
-  const auto best = crypto::best_supported_sha256_backend();
-  if (best >= crypto::Sha256Backend::kSse2) {
-    out.push_back(crypto::Sha256Backend::kSse2);
-  }
-  if (best >= crypto::Sha256Backend::kAvx2) {
-    out.push_back(crypto::Sha256Backend::kAvx2);
-  }
-  return out;
-}
 
 // Drives a scalar (sequential accept) and a batched (accept_many)
 // authenticator with the same reveal queue and requires identical
@@ -394,7 +539,7 @@ TEST(ChainAuthenticatorBatch, MatchesSequentialAcceptEveryBackend) {
   queue.emplace_back(90, chain.key(90));          // large gap
   queue.emplace_back(2, chain.key(2));            // pruned-era reveal
 
-  for (const auto backend : supported_backends()) {
+  for (const auto backend : crypto::supported_sha256_backends()) {
     crypto::force_sha256_backend(backend);
     for (const std::uint32_t stride : {1u, 4u, 16u}) {
       expect_batch_equals_sequential(chain, queue, stride);
