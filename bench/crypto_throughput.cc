@@ -1,10 +1,10 @@
-// Crypto hot-path throughput: the batched SHA-256 backends (multi-lane
-// SSE2/AVX2, 1-lane SHA-NI) vs the portable C oracle, HMAC midstate
-// caching vs per-call pad recomputation, and the batched TESLA chain walk
-// vs the sequential one.
+// Crypto hot-path throughput: HMAC midstate caching vs per-call pad
+// recomputation, and the batched TESLA chain walk (`prf_walk_many`: 8
+// lanes in lockstep under AVX2, one walk at a time on the SHA-NI or
+// portable C kernel) vs the sequential one, on every supported backend.
 //
-// Three tables, one per operation, each row a backend with hashes/sec
-// and its speedup over the scalar reference measured in-process. The CSV
+// Two tables, one per operation, each row a variant with hashes/sec and
+// its speedup over the portable C reference measured in-process. The CSV
 // intentionally carries NO timing data — only message/step counts and a
 // digest checksum per (op, backend) row, which must be identical across
 // backends, lane counts, and thread counts (the determinism contract
@@ -160,12 +160,12 @@ int main(int argc, char** argv) {
   }
   const std::size_t threads = dap::bench::configure_threads(argc, argv);
   dap::bench::banner(
-      std::string("crypto throughput — multi-lane SHA-256 + HMAC midstates") +
+      std::string("crypto throughput — batched chain walk + HMAC midstates") +
           (smoke ? " (smoke)" : ""),
       "the SHA-256/HMAC/chain-walk substrate under every DAP cost model "
       "(Section IV's verification arms race)",
-      ">= 2.5x batched-vs-scalar hashing on AVX2 hosts, >= 1.3x from "
-      "HMAC midstate caching alone; identical digests everywhere");
+      ">= 2.5x batched-vs-sequential chain walks on AVX2 hosts, >= 1.3x "
+      "from HMAC midstate caching alone; identical digests everywhere");
   std::cout << "[parallel engine: " << threads << " thread(s)]\n";
   // Distinct scenario ids per mode: the smoke and full workloads have
   // structurally different speedup trajectories, and bench_trend.py
@@ -197,56 +197,6 @@ int main(int argc, char** argv) {
   const std::vector<crypto::Sha256Backend> backends =
       crypto::supported_sha256_backends();
 
-  // ---------------------------------------------------------- sha256_many
-  std::vector<crypto::Digest> oracle(n_msgs);
-  {
-    const dap::bench::PhaseTimer phase("sha256");
-    force_portable_c();
-    for (std::size_t i = 0; i < n_msgs; ++i) {
-      crypto::Sha256 h;
-      h.update(views[i]);
-      oracle[i] = h.finalize();
-    }
-    // Untimed correctness pass per backend (also warms caches), then the
-    // interleaved timing rounds over the same buffers.
-    std::vector<crypto::Digest> out(n_msgs);
-    std::vector<std::string> checksums;
-    std::vector<std::function<void()>> cands;
-    for (const crypto::Sha256Backend b : backends) {
-      crypto::force_sha256_backend(b);
-      crypto::sha256_many(views, out);
-      for (std::size_t i = 0; i < n_msgs; ++i) {
-        digests_ok = digests_ok && std::equal(out[i].begin(), out[i].end(),
-                                              oracle[i].begin());
-      }
-      checksums.push_back(digest_checksum(out));
-      cands.push_back([&views, &out, b, reps] {
-        crypto::force_sha256_backend(b);
-        for (int r = 0; r < reps; ++r) crypto::sha256_many(views, out);
-      });
-    }
-    const Interleaved m = measure_interleaved(
-        [&] {
-          force_portable_c();
-          for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < n_msgs; ++i) {
-              crypto::Sha256 h;
-              h.update(views[i]);
-              oracle[i] = h.finalize();
-            }
-          }
-        },
-        cands, rounds, static_cast<double>(n_msgs) * reps);
-    crypto::clear_sha256_backend_override();
-    rows.push_back({"sha256", "scalar_oneshot", n_msgs, m.base_per_sec, 1.0,
-                    digest_checksum(oracle)});
-    for (std::size_t c = 0; c < backends.size(); ++c) {
-      rows.push_back({"sha256", std::string(crypto::backend_name(backends[c])),
-                      n_msgs, m.cand_per_sec[c], m.cand_speedup[c],
-                      checksums[c]});
-    }
-  }
-
   // ----------------------------------------------- hmac: midstate caching
   {
     const dap::bench::PhaseTimer phase("hmac");
@@ -259,48 +209,12 @@ int main(int argc, char** argv) {
     const std::vector<crypto::Digest> mac_oracle = macs;
     const crypto::HmacKey hkey{ByteView(key)};
 
-    std::vector<std::string> names;
-    std::vector<std::string> checksums;
-    std::vector<std::function<void()>> cands;
-    const auto add_candidate = [&](const std::string& name,
-                                   std::function<void()> once,
-                                   std::function<void()> timed) {
-      once();
-      for (std::size_t i = 0; i < n_msgs; ++i) {
-        digests_ok = digests_ok && std::equal(macs[i].begin(), macs[i].end(),
-                                              mac_oracle[i].begin());
-      }
-      names.push_back(name);
-      checksums.push_back(digest_checksum(macs));
-      cands.push_back(std::move(timed));
-    };
     // Midstate caching alone, on the portable C kernel like its baseline.
-    add_candidate(
-        "midstate",
-        [&] {
-          force_portable_c();
-          for (std::size_t i = 0; i < n_msgs; ++i) macs[i] = hkey.mac(views[i]);
-        },
-        [&hkey, &views, &macs, n_msgs, reps] {
-          force_portable_c();
-          for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < n_msgs; ++i) {
-              macs[i] = hkey.mac(views[i]);
-            }
-          }
-        });
-    for (const crypto::Sha256Backend b : backends) {
-      add_candidate(
-          std::string("many_") + std::string(crypto::backend_name(b)),
-          [&, b] {
-            crypto::force_sha256_backend(b);
-            crypto::hmac_many(hkey, views, macs);
-          },
-          [&hkey, &views, &macs, b, reps] {
-            crypto::force_sha256_backend(b);
-            for (int r = 0; r < reps; ++r) crypto::hmac_many(hkey, views, macs);
-          });
+    for (std::size_t i = 0; i < n_msgs; ++i) {
+      macs[i] = hkey.mac(views[i]);
+      digests_ok = digests_ok && macs[i] == mac_oracle[i];
     }
+    const std::string midstate_checksum = digest_checksum(macs);
     const Interleaved m = measure_interleaved(
         [&] {
           force_portable_c();
@@ -310,14 +224,20 @@ int main(int argc, char** argv) {
             }
           }
         },
-        cands, rounds, static_cast<double>(n_msgs) * reps);
+        {[&] {
+          force_portable_c();
+          for (int r = 0; r < reps; ++r) {
+            for (std::size_t i = 0; i < n_msgs; ++i) {
+              macs[i] = hkey.mac(views[i]);
+            }
+          }
+        }},
+        rounds, static_cast<double>(n_msgs) * reps);
     crypto::clear_sha256_backend_override();
     rows.push_back({"hmac", "oneshot_pads", n_msgs, m.base_per_sec, 1.0,
                     digest_checksum(mac_oracle)});
-    for (std::size_t c = 0; c < names.size(); ++c) {
-      rows.push_back({"hmac", names[c], n_msgs, m.cand_per_sec[c],
-                      m.cand_speedup[c], checksums[c]});
-    }
+    rows.push_back({"hmac", "midstate", n_msgs, m.cand_per_sec[0],
+                    m.cand_speedup[0], midstate_checksum});
   }
 
   // -------------------------------------------------- TESLA chain walking

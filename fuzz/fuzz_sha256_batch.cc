@@ -1,22 +1,24 @@
-// Fuzz harness for the batched multi-lane SHA-256 backend — the one
-// component where a silent wrong answer would be worse than a crash.
+// Fuzz harness for the batched SHA-256 layer — the one component where
+// a silent wrong answer would be worse than a crash.
 //
 // The input is interpreted as a batch description (message count, per
-// message length and bytes, an HMAC key, chain-walk parameters). For
-// every backend in supported_sha256_backends() the harness checks, bit
-// for bit, against oracles computed with the backend forced to scalar:
-//   1. sha256_many() and the streaming Sha256 equal the oracle digest.
-//   2. hmac_many() equals the one-shot hmac_sha256() on every message.
+// message length and bytes, chain-walk parameters, then per-lane states
+// and blocks). For every backend in supported_sha256_backends() the
+// harness checks, bit for bit, against oracles computed on the portable
+// C kernel:
+//   1. the streaming Sha256 equals the oracle digest of every message.
+//   2. sha256_compress_lanes() equals one sha256_compress() per lane.
 //   3. prf_walk_many() trajectories equal sequential prf_bytes() walks.
 // Any mismatch aborts, so libFuzzer (or the ctest corpus replay) treats
 // it as a finding.
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/bytes.h"
-#include "crypto/hmac.h"
 #include "crypto/prf.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_batch.h"
@@ -53,10 +55,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     messages[i] = stream.bytes(len);
     messages[i].resize(len, 0xA5);
   }
-  const std::size_t key_len = stream.u8() % 97;  // crosses the 64B pad edge
-  dap::common::Bytes key = stream.bytes(key_len);
-  key.resize(key_len, 0x3C);
-
   std::vector<dap::common::ByteView> views(messages.begin(), messages.end());
 
   // Chain-walk shape: bounded step counts keep the harness fast.
@@ -70,7 +68,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     steps[i] = stream.u8() % 9;
   }
 
-  // Oracle digests, MACs and walks, computed once on the portable C
+  // Lane-kernel shape: one (state, block) pair per lane from the rest of
+  // the input. Short input is padded with a position-dependent fill, so
+  // padded lanes still differ from one another.
+  constexpr std::size_t kLaneBytes = 4 * 8 + crypto::kSha256BlockSize;
+  constexpr std::size_t kLaneInput = crypto::kSha256Lanes * kLaneBytes;
+  dap::common::Bytes lane_bytes = stream.bytes(kLaneInput);
+  for (std::size_t k = lane_bytes.size(); k < kLaneInput; ++k) {
+    lane_bytes.push_back(static_cast<std::uint8_t>(k));
+  }
+  std::array<std::uint32_t, 8 * crypto::kSha256Lanes> lane_states;
+  std::array<const std::uint8_t*, crypto::kSha256Lanes> lane_blocks;
+  for (std::size_t l = 0; l < crypto::kSha256Lanes; ++l) {
+    const std::uint8_t* lane = lane_bytes.data() + l * kLaneBytes;
+    std::memcpy(lane_states.data() + 8 * l, lane, 4 * 8);
+    lane_blocks[l] = lane + 4 * 8;
+  }
+
+  // Oracle digests, lane states and walks, computed once on the portable C
   // kernel (forcing scalar keeps the streaming path off SHA-NI).
   crypto::force_sha256_backend(crypto::Sha256Backend::kScalar);
   std::vector<crypto::Digest> expected(count);
@@ -79,10 +94,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     h.update(views[i]);
     expected[i] = h.finalize();
   }
-  const crypto::HmacKey hmac_key{dap::common::ByteView(key)};
-  std::vector<crypto::Digest> expected_macs(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    expected_macs[i] = crypto::hmac_sha256(key, views[i]);
+  std::array<std::uint32_t, 8 * crypto::kSha256Lanes> expected_lanes =
+      lane_states;
+  for (std::size_t l = 0; l < crypto::kSha256Lanes; ++l) {
+    crypto::sha256_compress(expected_lanes.data() + 8 * l, lane_blocks[l]);
   }
   // Packed like prf_walk_many's output: each step's key back to back.
   std::vector<dap::common::Bytes> expected_walks(starts.size());
@@ -99,22 +114,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   for (const crypto::Sha256Backend backend :
        crypto::supported_sha256_backends()) {
     crypto::force_sha256_backend(backend);
-    std::vector<crypto::Digest> out(count);
-    crypto::sha256_many(views, out);
     for (std::size_t i = 0; i < count; ++i) {
       crypto::Sha256 h;
       h.update(views[i]);
-      if (!digest_equal(out[i], expected[i]) ||
-          !digest_equal(h.finalize(), expected[i])) {
-        fail("sha256_many or Sha256 diverged from the scalar oracle");
+      if (!digest_equal(h.finalize(), expected[i])) {
+        fail("Sha256 diverged from the scalar oracle");
       }
     }
-    std::vector<crypto::Digest> macs(count);
-    crypto::hmac_many(hmac_key, views, macs);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!digest_equal(macs[i], expected_macs[i])) {
-        fail("hmac_many diverged from hmac_sha256");
-      }
+    std::array<std::uint32_t, 8 * crypto::kSha256Lanes> lanes = lane_states;
+    crypto::sha256_compress_lanes(lanes, lane_blocks);
+    if (lanes != expected_lanes) {
+      fail("sha256_compress_lanes diverged from sha256_compress");
     }
     std::vector<dap::common::Bytes> traj;
     crypto::prf_walk_many(crypto::PrfDomain::kChainStep, starts, steps,

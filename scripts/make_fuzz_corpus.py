@@ -255,39 +255,36 @@ def fleet_scenario_seeds():
 
 def sha256_batch_seeds():
     # Stream layout (see fuzz_sha256_batch.cc): u8 message count (mod 17),
-    # then per message u8 length + bytes; u8 key length (mod 97) + key
-    # bytes; u8 chain key-size selector; per-message u8 step counts.
-    # Seeds pin the interesting block-boundary lengths (55/56/64 with the
-    # 9-byte pad edge) and partial-tail batch sizes around the 4/8-lane
-    # widths.
+    # then per message u8 length + bytes; u8 chain key-size selector;
+    # per-message u8 step counts; then up to 8 x (32 state + 64 block)
+    # bytes for the 8-lane kernel check (short input is padded). Seeds pin
+    # the interesting block-boundary lengths (55/56/64 with the 9-byte pad
+    # edge) and walk batches around the 8-lane width.
     def msg(length, fill):
         return u8(length) + bytes([fill]) * length
 
     boundary = (u8(6) + msg(0, 0) + msg(55, 1) + msg(56, 2) + msg(64, 3) +
                 msg(119, 4) + msg(120, 5) +
-                u8(64) + b"\x11" * 64 +      # key exactly one pad block
                 u8(9) + u8(3) * 6)           # key_size 10, short walks
     lanes = (u8(9) + b"".join(msg(16 + i, 0x40 + i) for i in range(9)) +
-             u8(0) +                          # empty key
              u8(31) + u8(1) * 9)              # key_size 32
-    long_key = (u8(2) + msg(200, 0xAA) + msg(1, 0xBB) +
-                u8(96) + b"\x77" * 96 +       # key > 64B (hash-then-pad)
-                u8(0) + u8(8) + u8(8))
+    # Every lane of the kernel check fed from the input, none padded.
+    full_lanes = (u8(2) + msg(200, 0xAA) + msg(1, 0xBB) +
+                  u8(0) + u8(8) + u8(8) +
+                  bytes((37 * i + 11) & 0xFF for i in range(8 * 96)))
     walk_heavy = (u8(4) + msg(10, 1) + msg(10, 2) + msg(10, 3) + msg(10, 4) +
-                  u8(16) + b"\x55" * 16 +
                   u8(9) + u8(8) + u8(0) + u8(5) + u8(1))
     # Multi-block messages: full-block runs go to the SHA-NI kernel in one
     # call, so lengths of 2..3 whole blocks plus ragged tails cover it.
     multi_block = (u8(3) + msg(255, 0x61) + msg(128, 0x62) + msg(192, 0x63) +
-                   u8(80) + bytes(range(80)) +
                    u8(19) + u8(4) + u8(2) + u8(7))
     return {
         "block_boundaries": boundary,
         "nine_lanes": lanes,
-        "long_key": long_key,
+        "full_lanes": full_lanes,
         "walk_heavy": walk_heavy,
         "multi_block": multi_block,
-        "single_empty": u8(1) + u8(0) + u8(0) + u8(0) + u8(0),
+        "single_empty": u8(1) + u8(0) + u8(0) + u8(0),
         "empty": b"",
     }
 

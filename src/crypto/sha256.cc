@@ -47,12 +47,6 @@ bool backend_supported(Sha256Backend backend) noexcept {
   switch (backend) {
     case Sha256Backend::kScalar:
       return true;
-    case Sha256Backend::kSse2:
-#if defined(__SSE2__) || defined(__x86_64__)
-      return true;
-#else
-      return false;
-#endif
     case Sha256Backend::kAvx2:
 #if defined(DAP_CRYPTO_HAVE_AVX2) && \
     (defined(__x86_64__) || defined(__i386__))
@@ -83,7 +77,6 @@ Sha256Backend detect_backend() noexcept {
   if (const char* env = std::getenv("DAP_CRYPTO_BACKEND")) {
     const std::string_view v(env);
     if (v == "scalar") return Sha256Backend::kScalar;
-    if (v == "sse2") return clamp_to_supported(Sha256Backend::kSse2);
     if (v == "avx2") return clamp_to_supported(Sha256Backend::kAvx2);
     if (v == "shani") return clamp_to_supported(Sha256Backend::kShaNi);
     // Unknown values fall through to auto-detection.
@@ -128,8 +121,6 @@ std::string_view backend_name(Sha256Backend backend) noexcept {
   switch (backend) {
     case Sha256Backend::kScalar:
       return "scalar";
-    case Sha256Backend::kSse2:
-      return "sse2";
     case Sha256Backend::kAvx2:
       return "avx2";
     case Sha256Backend::kShaNi:
@@ -138,27 +129,14 @@ std::string_view backend_name(Sha256Backend backend) noexcept {
   return "unknown";
 }
 
-std::size_t backend_lanes(Sha256Backend backend) noexcept {
-  switch (backend) {
-    case Sha256Backend::kScalar:
-    case Sha256Backend::kShaNi:
-      return 1;
-    case Sha256Backend::kSse2:
-      return 4;
-    case Sha256Backend::kAvx2:
-      return 8;
-  }
-  return 1;
-}
-
 Sha256Backend best_supported_sha256_backend() noexcept {
   return clamp_to_supported(Sha256Backend::kShaNi);
 }
 
 std::vector<Sha256Backend> supported_sha256_backends() {
   std::vector<Sha256Backend> out;
-  for (const Sha256Backend b : {Sha256Backend::kScalar, Sha256Backend::kSse2,
-                                Sha256Backend::kAvx2, Sha256Backend::kShaNi}) {
+  for (const Sha256Backend b : {Sha256Backend::kScalar, Sha256Backend::kAvx2,
+                                Sha256Backend::kShaNi}) {
     if (backend_supported(b)) out.push_back(b);
   }
   return out;

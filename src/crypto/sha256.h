@@ -7,11 +7,12 @@
 // incremental input; `sha256()` is the one-shot convenience.
 //
 // The backend dispatch lives here too, so both the streaming path and the
-// batched entry points (crypto/sha256_batch.h) read one selection.
-// Runtime CPUID picks the strongest of SHA-NI → AVX2 → SSE2 → scalar,
+// batched chain walk (crypto/sha256_batch.h) read one selection.
+// Runtime CPUID picks the strongest of SHA-NI → AVX2 → scalar,
 // overridable via the `DAP_CRYPTO_BACKEND` environment variable
-// (`scalar` | `sse2` | `avx2` | `shani`, clamped to what the host/build
-// supports) and programmatically via `force_sha256_backend()` for tests.
+// (`scalar` | `avx2` | `shani`, clamped to what the host/build supports;
+// any other value means auto) and programmatically via
+// `force_sha256_backend()` for tests.
 // The streaming `Sha256` uses the SHA-NI kernel only under `shani`; every
 // other backend keeps it on the portable C `sha256_compress`, so
 // `scalar` means "portable C everywhere".
@@ -35,7 +36,7 @@ using Digest = std::array<std::uint8_t, kSha256DigestSize>;
 /// the rest of the stream yields the same digest as hashing the whole
 /// stream from scratch. HMAC keys cache the ipad/opad midstates so each
 /// MAC costs 2 compressions instead of 4 (see crypto/hmac.h), and the
-/// batched backend (crypto/sha256_batch.h) seeds its lanes from them.
+/// batched chain walk (crypto/sha256_batch.h) resumes every step from them.
 struct Sha256Midstate {
   std::array<std::uint32_t, 8> state{};
   std::uint64_t bytes = 0;  // absorbed so far; always a multiple of 64
@@ -44,17 +45,13 @@ struct Sha256Midstate {
 /// Ordered weakest to strongest: clamping an unsupported request walks
 /// down this order, and auto-detection picks the highest supported value.
 enum class Sha256Backend : std::uint8_t {
-  kScalar = 0,  // portable C reference, 1 lane
-  kSse2 = 1,    // 4 lanes (baseline x86-64; scalar elsewhere)
-  kAvx2 = 2,    // 8 lanes (requires DAP_SIMD build + host support)
-  kShaNi = 3,   // 1 lane on the SHA extensions (DAP_SIMD build, x86-64)
+  kScalar = 0,  // portable C reference
+  kAvx2 = 1,    // 8 lanes in lockstep (DAP_SIMD build + host support)
+  kShaNi = 2,   // the SHA extensions, one stream (DAP_SIMD build, x86-64)
 };
 
-/// Stable lowercase name ("scalar" / "sse2" / "avx2" / "shani").
+/// Stable lowercase name ("scalar" / "avx2" / "shani").
 [[nodiscard]] std::string_view backend_name(Sha256Backend backend) noexcept;
-
-/// Lanes the backend compresses in lockstep (1 / 4 / 8 / 1).
-[[nodiscard]] std::size_t backend_lanes(Sha256Backend backend) noexcept;
 
 /// The backend in use: the test override if set, else the
 /// `DAP_CRYPTO_BACKEND` environment override (clamped to what is compiled

@@ -1,26 +1,26 @@
 #pragma once
-// Batched multi-lane SHA-256 / HMAC / PRF-walk backend.
+// Batched TESLA chain walk and the multi-lane SHA-256 kernel under it.
 //
-// Every DAP announce, μMAC check, and TESLA chain reveal bottoms out in
-// SHA-256, and the messages are *independent* — so the hot paths batch
-// them and compress 4 (SSE2) or 8 (AVX2) message schedules in lockstep,
-// one lane per message, or hand each block to the 1-lane SHA-NI kernel,
-// with the scalar `sha256_compress` kept as the reference oracle. Every
-// entry point here is bitwise identical to the scalar path for every
-// backend, batch size, and lane count; the test suite and the fuzz
-// harness enforce that exactly.
+// A receiver drain verifies many key reveals at once, and every reveal
+// is an independent walk down the one-way chain. `prf_walk_many` runs
+// those walks: under the `avx2` backend it keeps 8 walks in lockstep,
+// one per 32-bit lane of the AVX2 kernel; under `scalar` and `shani` it
+// walks them one after another on the streaming kernel. The scalar
+// `sha256_compress` stays the reference oracle, and every output here is
+// bitwise identical to it for every backend and batch shape; the test
+// suite and the fuzz harness enforce that exactly.
 //
 // Layering: this header sits *below* dap/tesla/fleet (they call down into
 // it, never the reverse) and is its own `crypto_batch` node in the lint
 // layering DAG so the kernels can never grow an upward dependency.
 //
 // Backend selection is the runtime CPUID dispatch of crypto/sha256.h
-// (SHA-NI → AVX2 → SSE2 → scalar), overridable via `DAP_CRYPTO_BACKEND`
-// and `force_sha256_backend()`.
+// (SHA-NI → AVX2 → scalar), overridable via `DAP_CRYPTO_BACKEND` and
+// `force_sha256_backend()`.
 //
 // Telemetry (all deterministic for a fixed workload):
 //   crypto.batch.calls            batched entry-point invocations
-//   crypto.batch.messages         messages hashed through the batch API
+//   crypto.batch.messages         walks requested through the batch API
 //   crypto.batch.blocks           busy-lane block compressions
 //   crypto.batch.idle_lane_blocks padding work on unoccupied lanes
 //   crypto.batch.lane_occupancy_pct  gauge, published on demand (see
@@ -32,30 +32,21 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "crypto/hmac.h"
 #include "crypto/prf.h"
 #include "crypto/sha256.h"
 
 namespace dap::crypto {
 
-// The backend enum, its CPUID/env selection and the test overrides live
-// in crypto/sha256.h (included above), shared with the streaming path.
+/// Streams the multi-lane kernel compresses in lockstep.
+inline constexpr std::size_t kSha256Lanes = 8;
 
-/// Batched one-shot hashing: out[i] = sha256(msgs[i]).
-/// Requires out.size() >= msgs.size().
-void sha256_many(std::span<const common::ByteView> msgs,
-                 std::span<Digest> out);
-
-/// Batched HMAC under one precomputed key: out[i] = key.mac(msgs[i]).
-/// Counts every message toward crypto.hmac_calls / hmac_midstate_hits,
-/// exactly as the scalar HmacKey::mac path does.
-void hmac_many(const HmacKey& key, std::span<const common::ByteView> msgs,
-               std::span<Digest> out);
-
-/// Batched HMAC with a distinct precomputed key per message:
-/// out[i] = keys[i]->mac(msgs[i]). Requires keys.size() == msgs.size().
-void hmac_many(std::span<const HmacKey* const> keys,
-               std::span<const common::ByteView> msgs, std::span<Digest> out);
+/// One compression on each of kSha256Lanes independent streams. `states`
+/// is lane-major (states[lane * 8 + word]) and blocks[lane] points at
+/// that lane's 64-byte block. Runs the AVX2 kernel when `avx2` is the
+/// active backend, else one `sha256_compress` per lane.
+void sha256_compress_lanes(
+    std::span<std::uint32_t, 8 * kSha256Lanes> states,
+    std::span<const std::uint8_t* const, kSha256Lanes> blocks) noexcept;
 
 /// Batched PRF chain walk with full trajectory capture: trajectories[i]
 /// holds the values after 1..steps[i] applications of

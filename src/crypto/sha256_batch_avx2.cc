@@ -45,9 +45,9 @@ inline __m256i rotr32x8(__m256i x, int n) noexcept {
 
 }  // namespace
 
-// Contract shared with the other kernels: `states` is lane-major
-// (states[lane * 8 + word]); each of the 8 blocks advances one
-// compression.
+// The contract of sha256_compress_lanes (crypto/sha256_batch.h):
+// `states` is lane-major (states[lane * 8 + word]); each of the 8 blocks
+// advances one compression.
 void sha256_compress_x8(std::uint32_t* states,
                         const std::uint8_t* const* blocks) noexcept {
   __m256i w[64];

@@ -1,11 +1,9 @@
-// Exact-equality tests for the SHA-256 backends: every (backend,
-// lane-count, message-length, partial-tail batch) combination must be
-// bitwise identical to the scalar oracle, the streaming Sha256 must match
-// the portable C kernel under every forced backend (the SHA-NI kernel
-// included), HmacKey
-// must reproduce hmac_sha256 (RFC 4231 vectors included), prf_walk_many
-// must reproduce chain_walk step by step, and
-// ChainAuthenticator::accept_many must reproduce sequential accept()
+// Exact-equality tests for the SHA-256 backends: the 8-lane kernel must
+// match the scalar oracle on arbitrary per-lane states, the streaming
+// Sha256 must match the portable C kernel under every forced backend (the
+// SHA-NI kernel included), HmacKey must reproduce hmac_sha256 (RFC 4231
+// vectors included), prf_walk_many must reproduce chain_walk step by step,
+// and ChainAuthenticator::accept_many must reproduce sequential accept()
 // outcomes exactly — counters, checkpoints, and anchors included.
 
 #include <gtest/gtest.h>
@@ -43,7 +41,7 @@ struct BackendGuard {
 };
 
 // The portable C kernel alone, padding included: no Sha256 object, no
-// dispatch. Every backend's streaming and batched digests must match it.
+// dispatch. Every backend's streaming digests must match it.
 Digest oracle_sha256(ByteView msg) {
   Bytes padded(msg.begin(), msg.end());
   padded.push_back(0x80);
@@ -104,13 +102,8 @@ TEST(Sha256Midstate, InitialMidstateIsEmptyHashState) {
 
 TEST(Sha256Batch, BackendNamesAndLanes) {
   EXPECT_EQ(backend_name(Sha256Backend::kScalar), "scalar");
-  EXPECT_EQ(backend_name(Sha256Backend::kSse2), "sse2");
   EXPECT_EQ(backend_name(Sha256Backend::kAvx2), "avx2");
   EXPECT_EQ(backend_name(Sha256Backend::kShaNi), "shani");
-  EXPECT_EQ(backend_lanes(Sha256Backend::kScalar), 1u);
-  EXPECT_EQ(backend_lanes(Sha256Backend::kSse2), 4u);
-  EXPECT_EQ(backend_lanes(Sha256Backend::kAvx2), 8u);
-  EXPECT_EQ(backend_lanes(Sha256Backend::kShaNi), 1u);
 }
 
 TEST(Sha256Batch, ForceClampsToSupported) {
@@ -142,7 +135,7 @@ TEST(Sha256Batch, SupportedListIsOrderedAndForceable) {
 TEST(Sha256Stream, ScalarForceRoutesStreamingThroughCKernel) {
   const BackendGuard guard;
   for (const Sha256Backend backend :
-       {Sha256Backend::kScalar, Sha256Backend::kSse2, Sha256Backend::kAvx2}) {
+       {Sha256Backend::kScalar, Sha256Backend::kAvx2}) {
     force_sha256_backend(backend);
     EXPECT_EQ(streaming_sha256_backend(), Sha256Backend::kScalar)
         << backend_name(backend);
@@ -154,7 +147,7 @@ TEST(Sha256Stream, ScalarForceRoutesStreamingThroughCKernel) {
                 : Sha256Backend::kScalar);
 }
 
-TEST(Sha256Stream, EveryLengthMatchesBatchAndCOracleOnEveryBackend) {
+TEST(Sha256Stream, EveryLengthMatchesCOracleOnEveryBackend) {
   const BackendGuard guard;
   common::Rng rng(0xF1A7);
   // 0..200 covers the empty message, the 55/56 one-vs-two padding-block
@@ -169,12 +162,8 @@ TEST(Sha256Stream, EveryLengthMatchesBatchAndCOracleOnEveryBackend) {
 
   for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
-    std::vector<Digest> batched(msgs.size());
-    sha256_many(views, batched);
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       EXPECT_EQ(sha256(views[i]), expect[i])
-          << backend_name(backend) << " length " << i;
-      EXPECT_EQ(batched[i], expect[i])
           << backend_name(backend) << " length " << i;
     }
   }
@@ -251,70 +240,33 @@ TEST(Sha256Stream, Fips180AndRfc4231VectorsOnEveryBackend) {
   }
 }
 
-// -------------------------------------------------- sha256_many equality
+// ------------------------------------------------------------ lane kernel
 
-TEST(Sha256Batch, EveryLengthMatchesScalarOnEveryBackend) {
+TEST(Sha256Batch, LaneKernelMatchesCKernelOnRandomStates) {
   const BackendGuard guard;
-  common::Rng rng(0xB47C);
-  // Lengths 0..130 cover: empty, sub-block, the 55/56 padding split, the
-  // exact block boundary, and two-block messages with every tail shape.
-  std::vector<Bytes> msgs;
-  for (std::size_t len = 0; len <= 130; ++len) msgs.push_back(rng.bytes(len));
-  std::vector<ByteView> views(msgs.begin(), msgs.end());
-  std::vector<Digest> expect(msgs.size());
-  for (std::size_t i = 0; i < msgs.size(); ++i) expect[i] = sha256(views[i]);
-
+  common::Rng rng(0x1A7E);
   for (const Sha256Backend backend : supported_sha256_backends()) {
     force_sha256_backend(backend);
-    std::vector<Digest> got(msgs.size());
-    sha256_many(views, got);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_EQ(got[i], expect[i])
-          << backend_name(backend) << " length " << i;
-    }
-  }
-}
-
-TEST(Sha256Batch, PartialTailBatchesMatchScalar) {
-  const BackendGuard guard;
-  common::Rng rng(0x5EED);
-  // Batch sizes 1..17 exercise every partial-lane tail for 4- and 8-lane
-  // kernels (1..3 and 1..7 occupied lanes plus full chunks).
-  for (const Sha256Backend backend : supported_sha256_backends()) {
-    force_sha256_backend(backend);
-    for (std::size_t n = 1; n <= 17; ++n) {
-      std::vector<Bytes> msgs;
-      for (std::size_t i = 0; i < n; ++i) {
-        msgs.push_back(rng.bytes(rng.uniform(0, 200)));
+    // 10k sets of 8 random (state, block) pairs. Every lane differs, so a
+    // lane-transposed load or store in the kernel cannot go unnoticed;
+    // the block pointers run backwards through memory for the same reason.
+    for (int trial = 0; trial < 10000; ++trial) {
+      std::array<std::uint32_t, 8 * kSha256Lanes> got;
+      for (std::uint32_t& w : got) {
+        w = static_cast<std::uint32_t>(rng.next_u64());
       }
-      std::vector<ByteView> views(msgs.begin(), msgs.end());
-      std::vector<Digest> got(n);
-      sha256_many(views, got);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(got[i], sha256(views[i]))
-            << backend_name(backend) << " batch " << n << " msg " << i;
+      std::array<std::uint32_t, 8 * kSha256Lanes> expect = got;
+      const Bytes data = rng.bytes(kSha256Lanes * kSha256BlockSize);
+      std::array<const std::uint8_t*, kSha256Lanes> lane_blocks;
+      for (std::size_t l = 0; l < kSha256Lanes; ++l) {
+        lane_blocks[l] =
+            data.data() + kSha256BlockSize * (kSha256Lanes - 1 - l);
       }
-    }
-  }
-}
-
-TEST(Sha256Batch, MixedBlockCountsInOneBatch) {
-  const BackendGuard guard;
-  common::Rng rng(0x31);
-  std::vector<Bytes> msgs;
-  // Deliberately interleave short and long messages so the grouping by
-  // block count must reorder and un-reorder without mixing up outputs.
-  for (const std::size_t len : {300u, 0u, 64u, 1000u, 3u, 129u, 55u, 56u}) {
-    msgs.push_back(rng.bytes(len));
-  }
-  std::vector<ByteView> views(msgs.begin(), msgs.end());
-  for (const Sha256Backend backend : supported_sha256_backends()) {
-    force_sha256_backend(backend);
-    std::vector<Digest> got(msgs.size());
-    sha256_many(views, got);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_EQ(got[i], sha256(views[i]))
-          << backend_name(backend) << " msg " << i;
+      sha256_compress_lanes(got, lane_blocks);
+      for (std::size_t l = 0; l < kSha256Lanes; ++l) {
+        sha256_compress(expect.data() + 8 * l, lane_blocks[l]);
+      }
+      ASSERT_EQ(got, expect) << backend_name(backend) << " trial " << trial;
     }
   }
 }
@@ -387,79 +339,54 @@ TEST(PrfKey, CachedDomainKeysMatchPrf) {
   }
 }
 
-// ------------------------------------------------------------- hmac_many
-
-TEST(Sha256Batch, HmacManyMatchesScalarEveryBackend) {
-  const BackendGuard guard;
-  common::Rng rng(0x77);
-  const Bytes key = rng.bytes(16);
-  const HmacKey cached{ByteView(key)};
-  std::vector<Bytes> msgs;
-  for (std::size_t i = 0; i < 13; ++i) {
-    msgs.push_back(rng.bytes(rng.uniform(0, 120)));
-  }
-  std::vector<ByteView> views(msgs.begin(), msgs.end());
-  for (const Sha256Backend backend : supported_sha256_backends()) {
-    force_sha256_backend(backend);
-    std::vector<Digest> got(msgs.size());
-    hmac_many(cached, views, got);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_EQ(got[i], hmac_sha256(key, views[i]))
-          << backend_name(backend) << " msg " << i;
-    }
-  }
-}
-
-TEST(Sha256Batch, HmacManyPerKeyMatchesScalar) {
-  const BackendGuard guard;
-  common::Rng rng(0x88);
-  std::vector<Bytes> raw_keys;
-  std::vector<HmacKey> keys;
-  std::vector<Bytes> msgs;
-  for (std::size_t i = 0; i < 11; ++i) {
-    raw_keys.push_back(rng.bytes(10 + i));
-    keys.emplace_back(ByteView(raw_keys.back()));
-    msgs.push_back(rng.bytes(rng.uniform(0, 80)));
-  }
-  std::vector<const HmacKey*> key_ptrs;
-  for (const HmacKey& k : keys) key_ptrs.push_back(&k);
-  std::vector<ByteView> views(msgs.begin(), msgs.end());
-  for (const Sha256Backend backend : supported_sha256_backends()) {
-    force_sha256_backend(backend);
-    std::vector<Digest> got(msgs.size());
-    hmac_many(key_ptrs, views, got);
-    for (std::size_t i = 0; i < msgs.size(); ++i) {
-      EXPECT_EQ(got[i], hmac_sha256(raw_keys[i], views[i]))
-          << backend_name(backend) << " msg " << i;
-    }
-  }
-}
-
 // --------------------------------------------------------- prf_walk_many
 
 TEST(Sha256Batch, PrfWalkManyMatchesChainWalk) {
   const BackendGuard guard;
   common::Rng rng(0x99);
-  constexpr std::size_t kKeySize = 10;
-  std::vector<Bytes> starts;
-  std::vector<std::uint32_t> steps;
-  for (const std::uint32_t s : {1u, 7u, 0u, 64u, 3u, 31u, 2u, 100u, 5u}) {
-    starts.push_back(rng.bytes(kKeySize));
-    steps.push_back(s);
-  }
-  for (const Sha256Backend backend : supported_sha256_backends()) {
-    force_sha256_backend(backend);
-    std::vector<Bytes> traj;
-    prf_walk_many(PrfDomain::kChainStep, starts, steps, kKeySize, traj);
-    ASSERT_EQ(traj.size(), starts.size());
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      ASSERT_EQ(traj[i].size(), steps[i] * kKeySize) << backend_name(backend);
-      Bytes current = starts[i];
-      for (std::uint32_t s = 0; s < steps[i]; ++s) {
-        current = prf_bytes(PrfDomain::kChainStep, current, kKeySize);
-        const ByteView got = ByteView(traj[i]).subspan(s * kKeySize, kKeySize);
-        EXPECT_EQ(Bytes(got.begin(), got.end()), current)
-            << backend_name(backend) << " walk " << i << " step " << s;
+  obs::Registry& reg = obs::Registry::global();
+  const auto blocks = reg.counter("crypto.batch.blocks");
+  const auto walk_steps = reg.counter("crypto.chain_walk_steps");
+  // 20 walks, 17 of them non-empty with uneven gaps: more than two full
+  // lane loads, so the 8-lane lockstep loop refills lanes mid-batch.
+  const std::vector<std::uint32_t> uneven = {
+      1, 7, 0, 64, 3, 31, 2, 100, 5, 9, 0, 17, 1, 40, 12, 4, 23, 6, 0, 2};
+  const std::vector<std::vector<std::uint32_t>> batches = {
+      uneven, {0, 0, 0}, {}};
+  for (const std::size_t key_size : {1u, 10u, 16u, 32u}) {
+    for (const std::vector<std::uint32_t>& steps : batches) {
+      std::vector<Bytes> starts;
+      std::uint64_t total = 0;
+      for (const std::uint32_t s : steps) {
+        starts.push_back(rng.bytes(key_size));
+        total += s;
+      }
+      // Oracle walks on the portable C kernel.
+      force_sha256_backend(Sha256Backend::kScalar);
+      std::vector<Bytes> expect(starts.size());
+      for (std::size_t i = 0; i < starts.size(); ++i) {
+        Bytes current = starts[i];
+        for (std::uint32_t s = 0; s < steps[i]; ++s) {
+          current = prf_bytes(PrfDomain::kChainStep, current, key_size);
+          expect[i].insert(expect[i].end(), current.begin(), current.end());
+        }
+      }
+      for (const Sha256Backend backend : supported_sha256_backends()) {
+        force_sha256_backend(backend);
+        const std::string where = std::string(backend_name(backend)) +
+                                  " key_size " + std::to_string(key_size) +
+                                  " walks " + std::to_string(steps.size());
+        const std::uint64_t blocks_before = reg.value(blocks);
+        const std::uint64_t steps_before = reg.value(walk_steps);
+        std::vector<Bytes> traj;
+        prf_walk_many(PrfDomain::kChainStep, starts, steps, key_size, traj);
+        // Two compressions per step, counted alike on every backend.
+        EXPECT_EQ(reg.value(walk_steps) - steps_before, total) << where;
+        EXPECT_EQ(reg.value(blocks) - blocks_before, 2 * total) << where;
+        ASSERT_EQ(traj.size(), starts.size()) << where;
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+          EXPECT_EQ(traj[i], expect[i]) << where << " walk " << i;
+        }
       }
     }
   }
