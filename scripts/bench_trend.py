@@ -23,7 +23,10 @@ Seven gates, in order of severity:
      contains "hop_latency") are deterministic, so the band is tight
      (--sim-p99-rel, default 0.05); wall-clock timer histograms vary
      with host load, so the band is loose (--wall-p99-rel, default 4.0,
-     i.e. fail only on a 5x blowup).
+     i.e. fail only on a 5x blowup). A baseline histogram missing from
+     the run fails the gate unless its name is on RETIRED: a gate must
+     not disappear without notice. A present histogram with count 0 is
+     skipped (the instrument exists but saw no calls this run).
   4. bounded relay memory: whenever the run exports the fleet guard
      gauges, fleet.guard.peak_entries must not exceed
      fleet.guard.capacity — the O(capacity) relay data plane is a hard
@@ -89,6 +92,17 @@ SIM_TIME_MARKER = "hop_latency"
 # relay's bandwidth budget — collateral the relay-hardening tier must
 # keep bounded.
 GUARD_CEILINGS = ["fleet.guard.false_drop"]
+
+# Histograms deliberately removed from the program, by name. A baseline
+# p99 for a name listed here is no longer gated; every other baseline
+# histogram must still be exported by the run. Add a name only together
+# with the change that retires the instrument, and say what replaces it.
+RETIRED = [
+    # crypto_throughput's one-shot SHA-256 section, removed with the
+    # batched sha256_many API. SHA-256 itself is still timed through the
+    # hmac and chain_walk sections (bench.hmac_us, bench.chain_walk_us).
+    "bench.sha256_us",
+]
 
 # Wall-clock p99s below this many microseconds are pure scheduler noise;
 # skip the relative check for them.
@@ -239,8 +253,15 @@ def gate_p99(label, base_p99s, run_hists, sim_rel, wall_rel):
         if base_p99 is None or base_p99 <= 0:
             continue
         run_hist = run_hists.get(name)
-        if run_hist is None or run_hist.get("count", 0) == 0:
-            continue  # instrument retired or unused this run: not a latency regression
+        if run_hist is None:
+            if name not in RETIRED:
+                failures.append(
+                    f"{label}: P99 GATE LOST: baseline histogram {name} is "
+                    f"missing from the run (list it in RETIRED if the "
+                    f"instrument was removed on purpose)")
+            continue
+        if run_hist.get("count", 0) == 0:
+            continue  # present but unused this run: not a latency regression
         run_p99 = run_hist.get("p99")
         if run_p99 is None:
             continue
@@ -412,6 +433,27 @@ def self_test():
         expect("wall-clock jitter within loose band",
                _write_run(tmp, "r_wall", "fleet_scale:smoke",
                           SELF_TEST_COUNTERS, wall_slow),
+               baseline_path, want_pass=True)
+
+        lost = {n: h for n, h in SELF_TEST_HISTS.items()
+                if n != "crypto.hmac_us"}
+        expect("baseline histogram missing from the run",
+               _write_run(tmp, "r_lost", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, lost),
+               baseline_path, want_pass=False, want_marker="P99 GATE LOST")
+
+        RETIRED.append("crypto.hmac_us")
+        expect("retired histogram missing from the run",
+               _write_run(tmp, "r_retired", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, lost),
+               baseline_path, want_pass=True)
+        RETIRED.remove("crypto.hmac_us")
+
+        idle = dict(SELF_TEST_HISTS)
+        idle["crypto.hmac_us"] = {"count": 0, "p99": 0.0}
+        expect("present histogram with no calls",
+               _write_run(tmp, "r_idle", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, idle),
                baseline_path, want_pass=True)
 
         leaked = dict(SELF_TEST_GAUGES,

@@ -67,7 +67,8 @@ void set_default_threads(std::size_t n) noexcept;
 /// `create` runs on the executing thread at chunk start; `activate` /
 /// `deactivate` bracket the chunk body (bind/unbind the thread-local
 /// shard); `merge` runs on the *calling* thread after the join, once per
-/// chunk in ascending chunk order; `destroy` frees the shard.
+/// chunk in ascending chunk order; `destroy` releases the shard (the
+/// obs hooks return it to a pool for a later chunk).
 struct ShardHooks {
   void* (*create)() = nullptr;
   void (*activate)(void* shard) = nullptr;

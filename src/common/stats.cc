@@ -19,6 +19,14 @@ void RunningStats::add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
+void RunningStats::add(double x, std::size_t weight) noexcept {
+  RunningStats group;
+  group.n_ = weight;
+  group.mean_ = x;
+  group.min_ = group.max_ = x;
+  merge(group);
+}
+
 double RunningStats::variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);

@@ -11,6 +11,9 @@ namespace dap::common {
 class RunningStats {
  public:
   void add(double x) noexcept;
+  /// Adds `weight` copies of `x` at once, folded in with merge()'s
+  /// arithmetic (a group of mean `x` and no spread). No-op for weight 0.
+  void add(double x, std::size_t weight) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }

@@ -64,7 +64,8 @@ Digest HmacKey::mac(common::ByteView message) const noexcept {
   const HmacTelemetry& telemetry = hmac_telemetry();
   obs::Registry::global().add(telemetry.calls);
   obs::Registry::global().add(telemetry.midstate_hits);
-  const obs::ScopedTimer timer(telemetry.latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(telemetry.latency, site);
   Sha256 h;
   h.restore(inner_);
   h.update(message);
@@ -89,7 +90,8 @@ bool HmacKey::verify(common::ByteView message,
 Digest hmac_sha256(common::ByteView key, common::ByteView message) noexcept {
   const HmacTelemetry& telemetry = hmac_telemetry();
   obs::Registry::global().add(telemetry.calls);
-  const obs::ScopedTimer timer(telemetry.latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(telemetry.latency, site);
   const std::array<std::uint8_t, kBlockSize> key_block = normalize_key(key);
 
   std::array<std::uint8_t, kBlockSize> ipad;

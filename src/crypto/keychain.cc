@@ -78,7 +78,8 @@ common::Bytes chain_walk(PrfDomain domain, common::ByteView key,
                          std::size_t steps, std::size_t key_size) {
   const KeyChainTelemetry& telemetry = keychain_telemetry();
   obs::Registry::global().add(telemetry.walk_steps, steps);
-  const obs::ScopedTimer timer(telemetry.walk_latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(telemetry.walk_latency, site);
   common::Bytes current(key.begin(), key.end());
   for (std::size_t s = 0; s < steps; ++s) {
     current = prf_bytes(domain, current, key_size);

@@ -65,7 +65,8 @@ const HmacKey& prf_key(PrfDomain domain) noexcept {
 Digest prf(PrfDomain domain, common::ByteView input) noexcept {
   const PrfTelemetry& telemetry = prf_telemetry();
   obs::Registry::global().add(telemetry.calls);
-  const obs::ScopedTimer timer(telemetry.latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(telemetry.latency, site);
   // HMAC keyed by the domain label: distinct labels yield computationally
   // independent functions of the same input. The cached per-domain key
   // skips the per-call ipad/opad recomputation.

@@ -214,7 +214,8 @@ void DapReceiver::receive(const wire::MacAnnounce& packet,
   DAP_REQUIRE(config_.disclosure_delay > 0 && config_.mac_size > 0,
               "DapReceiver::receive: receiver must be configured");
   auto& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(reg, telemetry_.rx_announce_latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(reg, telemetry_.rx_announce_latency, site);
   ++stats_.announces_received;
   reg.add(telemetry_.announces_received);
   obs::Tracer::global().record(obs::TraceKind::kAnnounce, local_now,
@@ -306,7 +307,8 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
     const wire::MessageReveal& packet, sim::SimTime local_now,
     BatchContext* batch, const bool* precomputed_accept) {
   auto& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(reg, telemetry_.rx_reveal_latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(reg, telemetry_.rx_reveal_latency, site);
   ++stats_.reveals_received;
   reg.add(telemetry_.reveals_received);
   obs::Tracer::global().record(obs::TraceKind::kReveal, local_now,

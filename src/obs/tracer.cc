@@ -63,29 +63,54 @@ std::string_view span_tag_name(SpanTag tag) noexcept {
   return "unknown";
 }
 
-Tracer::Tracer(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity),
-      span_ring_(capacity == 0 ? 1 : capacity) {}
+namespace {
+
+/// Writes `entry` as the `total`-th record of a ring bounded by
+/// `capacity`, appending while the ring is still filling.
+template <typename T>
+void ring_write(std::vector<T>& ring, std::uint64_t& total,
+                std::size_t capacity, const T& entry) {
+  const auto slot = static_cast<std::size_t>(total % capacity);
+  if (slot < ring.size()) {
+    ring[slot] = entry;
+  } else {
+    ring.push_back(entry);  // slot == ring.size(): writes are sequential
+  }
+  ++total;
+}
+
+}  // namespace
+
+Tracer::Tracer(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+  ring_.reserve(capacity_);
+  span_ring_.reserve(capacity_);
+}
+
+Tracer Tracer::growable(std::size_t capacity) {
+  Tracer tracer(1);
+  tracer.capacity_ = capacity == 0 ? 1 : capacity;
+  return tracer;
+}
 
 void Tracer::set_capacity(std::size_t capacity) {
   if (total_ != 0 || span_total_ != 0 || !open_spans_.empty()) {
     throw std::logic_error(
         "Tracer::set_capacity: tracer must be empty (clear() first)");
   }
-  ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
-  span_ring_.assign(capacity == 0 ? 1 : capacity, SpanEvent{});
+  const bool enabled = enabled_;
+  *this = Tracer(capacity);
+  enabled_ = enabled;
 }
 
 void Tracer::record(TraceKind kind, std::uint64_t t, std::uint32_t id,
                     double a, double b) noexcept {
   if (!enabled_) return;
-  ring_[total_ % ring_.size()] = TraceEvent{kind, id, t, a, b};
-  ++total_;
+  ring_write(ring_, total_, capacity_, TraceEvent{kind, id, t, a, b});
 }
 
 std::size_t Tracer::size() const noexcept {
   return static_cast<std::size_t>(
-      std::min<std::uint64_t>(total_, ring_.size()));
+      std::min<std::uint64_t>(total_, capacity_));
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
@@ -94,15 +119,14 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   out.reserve(n);
   const std::uint64_t first = total_ - n;
   for (std::uint64_t i = first; i < total_; ++i) {
-    out.push_back(ring_[i % ring_.size()]);
+    out.push_back(ring_[i % capacity_]);
   }
   return out;
 }
 
 void Tracer::record_span(const SpanEvent& span) noexcept {
   if (!enabled_) return;
-  span_ring_[span_total_ % span_ring_.size()] = span;
-  ++span_total_;
+  ring_write(span_ring_, span_total_, capacity_, span);
 }
 
 void Tracer::span_begin(const SpanEvent& span) {
@@ -127,7 +151,7 @@ void Tracer::span_end(std::uint64_t uid, std::uint64_t t_end,
 
 std::size_t Tracer::span_size() const noexcept {
   return static_cast<std::size_t>(
-      std::min<std::uint64_t>(span_total_, span_ring_.size()));
+      std::min<std::uint64_t>(span_total_, capacity_));
 }
 
 std::vector<SpanEvent> Tracer::span_snapshot() const {
@@ -136,7 +160,7 @@ std::vector<SpanEvent> Tracer::span_snapshot() const {
   out.reserve(n);
   const std::uint64_t first = span_total_ - n;
   for (std::uint64_t i = first; i < span_total_; ++i) {
-    out.push_back(span_ring_[i % span_ring_.size()]);
+    out.push_back(span_ring_[i % capacity_]);
   }
   return out;
 }

@@ -78,7 +78,14 @@ struct SpanEvent {
 
 class Tracer {
  public:
+  /// Both rings are allocated up front, so record() never allocates.
   explicit Tracer(std::size_t capacity = 16384);
+
+  /// A tracer whose rings start empty and grow on demand up to
+  /// `capacity`: its memory follows the events recorded, and record()
+  /// may allocate until a ring is full. parallel_for shards use it, so a
+  /// chunk that records ten events does not pay for a full ring.
+  [[nodiscard]] static Tracer growable(std::size_t capacity);
 
   void enable(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
@@ -91,13 +98,12 @@ class Tracer {
   void set_capacity(std::size_t capacity);
 
   /// Records one event while enabled; overwrites the oldest event once
-  /// `capacity` is exceeded. Never allocates.
+  /// `capacity` is exceeded. Never allocates, except while a growable
+  /// tracer's ring is still filling.
   void record(TraceKind kind, std::uint64_t t, std::uint32_t id = 0,
               double a = 0.0, double b = 0.0) noexcept;
 
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events currently held (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept;
   /// Events recorded since construction/clear, including overwritten ones.
@@ -122,7 +128,7 @@ class Tracer {
                 SpanTag tag = SpanTag::kNone) noexcept;
 
   [[nodiscard]] std::size_t span_capacity() const noexcept {
-    return span_ring_.size();
+    return capacity_;
   }
   /// Closed spans currently held (<= span_capacity).
   [[nodiscard]] std::size_t span_size() const noexcept;
@@ -168,8 +174,12 @@ class Tracer {
   static Tracer* set_thread_override(Tracer* tracer) noexcept;
 
  private:
+  // Each ring holds at most capacity_ entries. It fills by push_back
+  // (without reallocating unless growable), then wraps: the next write
+  // goes to ring_[total_ % capacity_]. clear() keeps the filled storage.
+  std::size_t capacity_;
   std::vector<TraceEvent> ring_;
-  std::uint64_t total_ = 0;  // next write goes to ring_[total_ % capacity]
+  std::uint64_t total_ = 0;
   std::vector<SpanEvent> span_ring_;
   std::uint64_t span_total_ = 0;
   std::vector<SpanEvent> open_spans_;  // begun, not yet ended

@@ -186,7 +186,8 @@ void TeslaPpReceiver::receive(const wire::MacAnnounce& packet,
   DAP_REQUIRE(config_.mac_size > 0 && config_.self_mac_size > 0,
               "TeslaPpReceiver::receive: receiver must be configured");
   auto& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(reg, telemetry_.rx_announce_latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(reg, telemetry_.rx_announce_latency, site);
   tick(local_now);
   ++stats_.announces_received;
   reg.add(telemetry_.announces_received);
@@ -253,7 +254,8 @@ std::vector<AuthenticatedMessage> TeslaPpReceiver::process_reveal(
     const wire::MessageReveal& packet, sim::SimTime local_now,
     BatchContext* batch) {
   auto& reg = obs::Registry::global();
-  const obs::ScopedTimer timer(reg, telemetry_.rx_reveal_latency);
+  thread_local obs::SampleSite site;
+  const obs::SampledTimer timer(reg, telemetry_.rx_reveal_latency, site);
   tick(local_now);
   ++stats_.reveals_received;
   reg.add(telemetry_.reveals_received);

@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <mutex>
+#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -25,6 +28,46 @@
 #include "obs/registry.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
+
+// Every operator new in this binary counts its bytes, so the
+// RecycledShards tests can bound what shard creation and a parallel_for
+// job allocate.
+namespace {
+std::atomic<std::uint64_t> g_new_bytes{0};
+thread_local std::uint64_t tls_new_bytes = 0;  // this thread's share
+
+void* counted_malloc(std::size_t size) noexcept {
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  tls_new_bytes += size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// GCC can't see that the replacement operator delete below pairs with the
+// malloc inside the replacement operator new, and warns on every new[].
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+#pragma GCC diagnostic pop
 
 namespace dap {
 namespace {
@@ -196,6 +239,19 @@ TEST(RegistryMerge, HistogramBucketCountsAreExact) {
   EXPECT_DOUBLE_EQ(a.sum(), whole.sum());
   EXPECT_DOUBLE_EQ(a.p50(), whole.p50());
   EXPECT_DOUBLE_EQ(a.p99(), whole.p99());
+  // A merged histogram merges on (shard -> target -> copy) with every
+  // bucket intact, and reset() empties every bucket.
+  obs::LatencyHistogram chained;
+  chained.merge(a);
+  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
+    EXPECT_EQ(chained.bucket_count(i), whole.bucket_count(i)) << i;
+  }
+  a.reset();
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_EQ(a.sum(), 0.0);
+  for (std::size_t i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
+    EXPECT_EQ(a.bucket_count(i), 0u) << i;
+  }
 }
 
 TEST(RegistryMerge, ThreadOverrideRedirectsGlobal) {
@@ -222,6 +278,217 @@ TEST(ParallelFor, ShardCountersSumIntoGlobal) {
       },
       {.threads = 4});
   EXPECT_EQ(global.value(handle), before + 100);
+}
+
+// --------------------------------------------------- recycled shards
+
+// Fresh-shard hooks: a new Registry per chunk, merged in chunk order and
+// then deleted. The pooled hooks must give the same merged registry.
+struct FreshShard {
+  obs::Registry registry;
+  obs::Registry* prev = nullptr;
+};
+const common::ShardHooks kFreshShardHooks{
+    [] { return static_cast<void*>(new FreshShard); },
+    [](void* s) {
+      auto* shard = static_cast<FreshShard*>(s);
+      shard->prev = obs::Registry::set_thread_override(&shard->registry);
+    },
+    [](void* s) {
+      obs::Registry::set_thread_override(static_cast<FreshShard*>(s)->prev);
+    },
+    [](void* s) {
+      obs::Registry::global().merge_from(static_cast<FreshShard*>(s)->registry);
+    },
+    [](void* s) { delete static_cast<FreshShard*>(s); }};
+
+// Installs `hooks` for one scope, restoring the previous ones afterwards.
+class HooksGuard {
+ public:
+  explicit HooksGuard(const common::ShardHooks& hooks)
+      : prev_(common::shard_hooks()) {
+    common::set_shard_hooks(hooks);
+  }
+  ~HooksGuard() { common::set_shard_hooks(prev_); }
+  HooksGuard(const HooksGuard&) = delete;
+  HooksGuard& operator=(const HooksGuard&) = delete;
+
+ private:
+  common::ShardHooks prev_;
+};
+
+struct ProbeTelemetry {
+  obs::CounterHandle hits;
+  obs::CounterHandle misses;
+  obs::HistogramHandle latency;
+};
+
+// Resolved through a per-thread cache, like the library's telemetry.
+const ProbeTelemetry& probe_telemetry() {
+  thread_local obs::PerRegistryCache<ProbeTelemetry> cache;
+  return cache.get([](obs::Registry& reg) {
+    return ProbeTelemetry{reg.counter("ptest.probe.hits"),
+                          reg.counter("ptest.probe.misses"),
+                          reg.histogram("ptest.probe_us")};
+  });
+}
+
+// Two back-to-back jobs that touch different instruments, each merged
+// into its own target registry; returns both targets' metrics JSON.
+std::string two_jobs() {
+  std::string out;
+  for (const int job : {0, 1}) {
+    obs::Registry target;
+    obs::Registry* prev = obs::Registry::set_thread_override(&target);
+    common::parallel_for(
+        64,
+        [job](std::size_t i) {
+          auto& reg = obs::Registry::global();
+          const ProbeTelemetry& probe = probe_telemetry();
+          if (job == 0) {
+            reg.add(probe.hits, i);
+            reg.add(reg.counter("ptest.job0.items"));
+            reg.observe(probe.latency, static_cast<double>(i % 5) + 1.0);
+            reg.mark(reg.rate("ptest.job0.auth"), i % 2 == 0);
+            reg.set(reg.gauge("ptest.job0.level"), static_cast<double>(i));
+          } else {
+            // Resolves the probe handles but writes only one of them.
+            reg.add(probe.misses);
+            reg.add(reg.counter("ptest.job1.items"), 2);
+          }
+        },
+        {.threads = 4});
+    obs::Registry::set_thread_override(prev);
+    out += obs::metrics_json(target, -1.0);
+  }
+  return out;
+}
+
+TEST(RecycledShards, BackToBackJobsMatchFreshShards) {
+  const std::string pooled = two_jobs();
+  std::string fresh;
+  {
+    const HooksGuard guard(kFreshShardHooks);
+    fresh = two_jobs();
+  }
+  EXPECT_EQ(pooled, fresh);
+  // Job 1 resolved the probe without writing hits: the name still
+  // reaches its target (at 0), as it does with fresh shards ...
+  EXPECT_NE(pooled.find("\"ptest.probe.hits\": 0"), std::string::npos);
+  // ... and job 0's instruments do not leak into job 1's target.
+  EXPECT_EQ(pooled.find("ptest.job0.items"),
+            pooled.rfind("ptest.job0.items"));
+  EXPECT_EQ(pooled.find("ptest.job0.auth"), pooled.rfind("ptest.job0.auth"));
+  EXPECT_EQ(pooled.find("ptest.job0.level"),
+            pooled.rfind("ptest.job0.level"));
+}
+
+TEST(RecycledShards, ResetShardMergesWhatItsNextUserResolves) {
+  // One shard, two uses on this thread, the way the pool recycles it.
+  // The second use resolves the probe through the same per-thread cache
+  // but writes only `misses`: like a fresh shard, the merge must carry
+  // all three probe names (two at zero) and nothing from the first use.
+  const auto use = [](obs::Registry& shard, bool first) {
+    obs::Registry* prev = obs::Registry::set_thread_override(&shard);
+    auto& reg = obs::Registry::global();
+    const ProbeTelemetry& probe = probe_telemetry();
+    if (first) {
+      reg.add(probe.hits, 5);
+      reg.observe(probe.latency, 2.0);
+      reg.add(reg.counter("ptest.first_use"));
+    } else {
+      reg.add(probe.misses);
+    }
+    obs::Registry::set_thread_override(prev);
+  };
+  obs::Registry shard;
+  use(shard, true);
+  obs::Registry first_target;
+  first_target.merge_from(shard);
+  shard.reset();
+  use(shard, false);
+  obs::Registry second_target;
+  second_target.merge_from(shard);
+
+  obs::Registry fresh;
+  use(fresh, false);
+  obs::Registry reference;
+  reference.merge_from(fresh);
+  EXPECT_EQ(obs::metrics_json(second_target), obs::metrics_json(reference));
+  EXPECT_NE(obs::metrics_json(first_target).find("ptest.first_use"),
+            std::string::npos);
+  EXPECT_EQ(obs::metrics_json(second_target).find("ptest.first_use"),
+            std::string::npos);
+}
+
+// Records every shard the installed hooks create, and the bytes that
+// creating them allocated.
+common::ShardHooks g_real_hooks;
+std::mutex g_created_mu;
+std::vector<void*> g_created;
+std::uint64_t g_create_bytes = 0;
+
+TEST(RecycledShards, SameShapeJobReusesEveryShard) {
+  g_real_hooks = common::shard_hooks();
+  common::ShardHooks recording = g_real_hooks;
+  recording.create = [] {
+    const std::uint64_t before = tls_new_bytes;
+    void* shard = g_real_hooks.create();
+    const std::uint64_t bytes = tls_new_bytes - before;
+    const std::lock_guard<std::mutex> lock(g_created_mu);
+    g_created.push_back(shard);
+    g_create_bytes += bytes;
+    return shard;
+  };
+  const HooksGuard guard(recording);
+  std::vector<std::set<void*>> shards;
+  std::vector<std::uint64_t> create_bytes;
+  for (int job = 0; job < 3; ++job) {
+    g_created.clear();
+    g_create_bytes = 0;
+    common::parallel_for(
+        64,
+        [](std::size_t) {
+          auto& reg = obs::Registry::global();
+          reg.add(reg.counter("ptest.reuse"));
+        },
+        {.threads = 4});
+    ASSERT_EQ(g_created.size(), 16u);  // 4 threads x 4 chunks each
+    shards.emplace_back(g_created.begin(), g_created.end());
+    create_bytes.push_back(g_create_bytes);
+  }
+  EXPECT_EQ(shards[0].size(), 16u);
+  EXPECT_EQ(shards[1], shards[0]);
+  EXPECT_EQ(shards[2], shards[0]);
+  // Later jobs take every shard from the pool: creating them allocates
+  // nothing.
+  EXPECT_EQ(create_bytes[1], 0u);
+  EXPECT_EQ(create_bytes[2], 0u);
+}
+
+TEST(RecycledShards, ShardTracerMemoryFollowsEventsRecorded) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_capacity(16384);
+  tracer.enable(true);
+  constexpr std::size_t kChunks = 64;
+  constexpr std::size_t kEventsPerChunk = 10;
+  const std::uint64_t before = g_new_bytes.load();
+  common::parallel_for(
+      kChunks * kEventsPerChunk,
+      [](std::size_t i) {
+        obs::Tracer::global().record(obs::TraceKind::kAnnounce, i,
+                                     static_cast<std::uint32_t>(i));
+      },
+      {.threads = 4, .grain = kEventsPerChunk});
+  const std::uint64_t allocated = g_new_bytes.load() - before;
+  EXPECT_EQ(tracer.total_recorded(), kChunks * kEventsPerChunk);
+  // Full-capacity shard rings would cost kChunks x 16384 events and spans
+  // (~90 MB); growable ones cost the events recorded plus a few KiB of
+  // bookkeeping per shard, whether the pool had the shard or not.
+  EXPECT_LT(allocated, kChunks * 16 * 1024) << "bytes allocated by the job";
+  tracer.clear();
+  tracer.enable(false);
 }
 
 // ---------------------------------------------- end-to-end determinism
