@@ -83,7 +83,21 @@ inline std::string& snapshot_stream() {
   static std::string stream;
   return stream;
 }
+
+/// Bench-specific footer fields (name -> rendered JSON value), added by
+/// add_footer_field.
+inline std::map<std::string, std::string>& footer_fields() {
+  static std::map<std::string, std::string> fields;
+  return fields;
+}
 }  // namespace detail
+
+/// Adds a field to this run's metrics footer; `json_value` is already
+/// rendered JSON (a number, a quoted string, an array).
+inline void add_footer_field(const std::string& name,
+                             const std::string& json_value) {
+  detail::footer_fields()[name] = json_value;
+}
 
 /// Records a compact scenario/topology identifier in the metrics footer
 /// ("scenario" field), so a BENCH_*.json captured on one host says what
@@ -211,15 +225,20 @@ inline void append_snapshots(const obs::Snapshotter& snapshotter) {
 
 namespace detail {
 /// Renders the run-environment footer fields ("threads", "cpu_cores",
-/// "peak_rss_kb", "scenario", "phases", trace drop accounting) as a
-/// JSON fragment for metrics_json's extra_fields slot. cpu_cores
-/// disambiguates speedup numbers across hosts (a ~1.0 speedup on a
-/// 1-core machine is expected, not a regression); scenario says what
-/// the run simulated; the trace totals make silent ring-buffer event
-/// loss visible (smoke suites assert the dropped fields are zero).
+/// "parallel_spin_s", "peak_rss_kb", "scenario", "phases", trace drop
+/// accounting, then any add_footer_field fields) as a JSON fragment for
+/// metrics_json's extra_fields slot. cpu_cores disambiguates speedup
+/// numbers across hosts (a ~1.0 speedup on a 1-core machine is
+/// expected, not a regression); parallel_spin_s is the wall time pool
+/// threads spent spinning, which CPU-time figures count as busy;
+/// scenario says what the run simulated; the trace totals make silent
+/// ring-buffer event loss visible (smoke suites assert the dropped
+/// fields are zero).
 inline std::string footer_extra_fields() {
   std::string out = "\"threads\": " + std::to_string(common::default_threads());
   out += ", \"cpu_cores\": " + std::to_string(common::hardware_threads());
+  out += ", \"parallel_spin_s\": " +
+         obs::detail::json_number(common::parallel_spin_seconds());
   out += ", \"peak_rss_kb\": " + std::to_string(peak_rss_kb());
   out += ", \"scenario\": \"" + run_scenario() + "\"";
   const obs::Tracer& tracer = obs::Tracer::global();
@@ -237,6 +256,9 @@ inline std::string footer_extra_fields() {
     first = false;
   }
   out += "}";
+  for (const auto& [name, value] : footer_fields()) {
+    out += ", \"" + name + "\": " + value;
+  }
   return out;
 }
 

@@ -196,6 +196,15 @@ int main(int argc, char** argv) {
   bool digests_ok = true;
   const std::vector<crypto::Sha256Backend> backends =
       crypto::supported_sha256_backends();
+  // The footer names the host's backends, so bench_trend.py's gate 6 can
+  // tell a chain_walk row this host cannot run from one that went
+  // missing.
+  std::string backend_list;
+  for (const crypto::Sha256Backend b : backends) {
+    backend_list += std::string(backend_list.empty() ? "" : ", ") + "\"" +
+                    std::string(crypto::backend_name(b)) + "\"";
+  }
+  dap::bench::add_footer_field("sha256_backends", "[" + backend_list + "]");
 
   // ----------------------------------------------- hmac: midstate caching
   {

@@ -41,7 +41,12 @@ Seven gates, in order of severity:
      Speedups are ratios of two in-process measurements on the same
      host, so unlike absolute hashes/sec they are stable across CI
      hosts; a >10% drop means the multi-lane kernels or the HMAC
-     midstate caching regressed.
+     midstate caching regressed. A chain_walk_<backend>_speedup row
+     missing from the run is skipped (and the skip printed) only when
+     the run's metrics footer lists the host's SHA-256 backends
+     ("sha256_backends") and that backend is not among them: a host
+     without SHA-NI cannot produce the shani row. A row whose backend
+     the host has still fails.
   7. ESS convergence: any gauge whose name contains "ess_gap" (the
      adaptive attacker's |empirical - oracle| attack-share gap from
      bench/game_loop and the strategy chaos cases) must stay at or
@@ -113,6 +118,8 @@ WALL_P99_FLOOR_US = 50.0
 # hold up in the run.
 SPEEDUP_PREFIX = "bench.crypto."
 SPEEDUP_SUFFIX = "_speedup"
+# Per-backend chain-walk rows: bench.crypto.chain_walk_<backend>_speedup.
+CHAIN_WALK_PREFIX = SPEEDUP_PREFIX + "chain_walk_"
 
 
 def load_json(path):
@@ -207,7 +214,16 @@ def gate_guard_ceilings(label, base_counters, run_counters, rel):
     return failures
 
 
-def gate_throughput(label, base_gauges, run_gauges, rel):
+def host_lacks_backend(name, host_backends):
+    """True when `name` is a chain_walk_<backend> row and the run's
+    footer lists the host's backends without that one."""
+    if host_backends is None or not name.startswith(CHAIN_WALK_PREFIX):
+        return False
+    backend = name[len(CHAIN_WALK_PREFIX):-len(SPEEDUP_SUFFIX)]
+    return backend not in host_backends
+
+
+def gate_throughput(label, base_gauges, run_gauges, rel, host_backends=None):
     """Gate 6: batched-crypto speedup ratios may not sag below baseline."""
     failures = []
     for name, base in sorted(base_gauges.items()):
@@ -217,6 +233,10 @@ def gate_throughput(label, base_gauges, run_gauges, rel):
         if not isinstance(base, (int, float)) or base <= 0:
             continue
         run_value = run_gauges.get(name)
+        if run_value is None and host_lacks_backend(name, host_backends):
+            print(f"  [skip] {label}: {name} — the run host lacks this "
+                  f"SHA-256 backend (host has {', '.join(host_backends)})")
+            continue
         if run_value is None:
             failures.append(
                 f"{label}: THROUGHPUT: {name} missing from run "
@@ -315,7 +335,8 @@ def check_run(baseline, run_dir, args):
                          args.sim_p99_rel, args.wall_p99_rel)
     failures += gate_throughput(label, trajectory.get("gauges", {}),
                                 metrics.get("gauges", {}),
-                                args.throughput_tol)
+                                args.throughput_tol,
+                                metrics.get("sha256_backends"))
     return failures
 
 
@@ -345,7 +366,8 @@ SELF_TEST_GAUGES = {
 }
 
 
-def _write_run(root, name, scenario, counters, hists, gauges=None):
+def _write_run(root, name, scenario, counters, hists, gauges=None,
+               footer=None):
     run_dir = pathlib.Path(root) / name
     run_dir.mkdir(parents=True)
     (run_dir / "manifest.json").write_text(json.dumps({
@@ -361,6 +383,7 @@ def _write_run(root, name, scenario, counters, hists, gauges=None):
         "counters": counters,
         "gauges": SELF_TEST_GAUGES if gauges is None else gauges,
         "histograms": hists,
+        **(footer or {}),
     }))
     return run_dir
 
@@ -484,6 +507,26 @@ def self_test():
                _write_run(tmp, "r_fastish", "fleet_scale:smoke",
                           SELF_TEST_COUNTERS, SELF_TEST_HISTS, fast_crypto),
                baseline_path, want_pass=True)
+
+        # Gate 6 per host backend: the baseline host had SHA-NI.
+        shani_gauges = dict(SELF_TEST_GAUGES,
+                            **{"bench.crypto.chain_walk_shani_speedup": 7.4})
+        shani_base = pathlib.Path(tmp) / "BENCH_shani.json"
+        base_doc = json.loads(baseline_path.read_text())
+        base_doc["benches"][0]["trajectory"]["gauges"] = shani_gauges
+        shani_base.write_text(json.dumps(base_doc))
+        expect("backend row the run host lacks is skipped",
+               _write_run(tmp, "r_no_shani_host", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, SELF_TEST_HISTS,
+                          SELF_TEST_GAUGES,
+                          {"sha256_backends": ["scalar", "avx2"]}),
+               shani_base, want_pass=True)
+        expect("backend row the run host has but the run lacks",
+               _write_run(tmp, "r_shani_lost", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, SELF_TEST_HISTS,
+                          SELF_TEST_GAUGES,
+                          {"sha256_backends": ["scalar", "avx2", "shani"]}),
+               shani_base, want_pass=False, want_marker="speedup gauge gone")
 
         diverged = dict(SELF_TEST_GAUGES,
                         **{"strategy.ess_gap": 0.05,

@@ -94,5 +94,10 @@ TSAN_OPTIONS=halt_on_error=1 DAP_THREADS=4 \
   ctest --test-dir build-tsan \
   -L 'test_parallel|test_fleet|test_crypto_batch|test_strategy' \
   --output-on-failure
+# The pool's join and wake races are rare per run: repeat the pool tests
+# so a one-in-ten interleaving still shows up.
+TSAN_OPTIONS=halt_on_error=1 DAP_THREADS=4 \
+  build-tsan/tests/test_parallel --gtest_repeat=20 \
+  --gtest_filter='ParallelFor.*:RecycledShards.*'
 
 echo "== all checks passed =="

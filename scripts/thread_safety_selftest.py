@@ -19,10 +19,10 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DRIVER = ROOT / "scripts" / "thread_safety_check.py"
 
-# The seeded mutation: the work-queue field of the parallel engine's
-# Queue class loses its guard annotation.
+# The seeded mutation: the worker list of the parallel engine's
+# WorkerPool class loses its guard annotation.
 TARGET = "src/common/parallel.cc"
-ANNOTATION = "DAP_GUARDED_BY(mu)"
+ANNOTATION = "DAP_GUARDED_BY(mu_)"
 
 
 def run_driver(root: pathlib.Path) -> int:

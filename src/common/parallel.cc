@@ -1,15 +1,18 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <exception>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "common/contracts.h"
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "common/rng.h"
 #include "common/sync.h"
 
@@ -24,43 +27,71 @@ constexpr std::size_t kMaxThreads = 256;
 // The hooks and the thread-count override are process-wide configuration
 // for the parallel engine itself. The hooks are written by obs's static
 // initializer and read once per parallel_for (snapshotted into the job),
-// both under g_hooks_mu; the override is a plain atomic.
+// both under g_hooks_mu; the override is a plain atomic. The spin total
+// is the engine's own accounting, kept out of the obs registry.
 Mutex g_hooks_mu;                               // lint: allow(global-state): engine-wide config lock
 ShardHooks g_hooks DAP_GUARDED_BY(g_hooks_mu);  // lint: allow(global-state): guarded engine config
 std::atomic<std::size_t> g_thread_override{0};  // lint: allow(global-state): atomic engine config
+std::atomic<std::uint64_t> g_spin_ns{0};        // lint: allow(global-state): atomic engine spin total
 
 thread_local bool tls_in_parallel_region = false;
 
-struct Chunk {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
+/// How long a waiting thread spins before it sleeps on a condvar: a few
+/// short chunks' worth, so a drain's next job (or its last chunk) usually
+/// lands while the waiter is still awake.
+constexpr std::chrono::nanoseconds kSpinBudget = std::chrono::microseconds(40);
 
-/// One parallel_for invocation: the chunk list, one deque of chunk ids
-/// per participant (work-stealing victims), and the join bookkeeping.
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spins on `ready` for up to kSpinBudget and returns whether it held.
+/// The budget check reads the clock every 64 pauses; the wait's wall
+/// time joins the process spin total once, when the wait ends.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  if (ready()) return true;
+  using Clock = std::chrono::steady_clock;  // lint: allow(determinism): decides only when to sleep
+  const Clock::time_point start = Clock::now();
+  bool held = false;
+  for (std::uint32_t i = 1; !held; ++i) {
+    cpu_relax();
+    held = ready();
+    if (!held && i % 64 == 0 && Clock::now() - start >= kSpinBudget) break;
+  }
+  const auto spent = Clock::now() - start;
+  g_spin_ns.fetch_add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(spent).count()),
+      std::memory_order_relaxed);
+  return held;
+}
+
+/// One parallel_for invocation: chunk c covers [c * grain, min(n,
+/// (c + 1) * grain)), and every participant claims the next chunk from
+/// one shared atomic cursor.
 ///
-/// Sharing discipline, field by field: `body`, `chunks`, `hooks`, and
-/// the `queues` vector itself are filled in by parallel_for BEFORE the
-/// job is published to the pool and never written afterwards; `shards`
-/// slots are written by exactly one executor each (index-addressed by
-/// chunk id) and only read after the join; the join counters are
-/// atomics; everything else is guarded by the mutex named in its
-/// annotation.
+/// Sharing discipline, field by field: `body`, `n`, `grain`, `hooks`
+/// and the size of `shards` are set by parallel_for BEFORE the job is
+/// published to the pool and never written afterwards; `shards` slots
+/// are written by exactly one executor each (index-addressed by chunk
+/// id) and only read after the join; the cursor and join counters are
+/// atomics; `error` is guarded by its mutex.
 struct Job {
   const std::function<void(std::size_t)>* body =  // lint: allow(guarded-fields): immutable once published
       nullptr;
-  std::vector<Chunk> chunks;   // lint: allow(guarded-fields): immutable once published
-  ShardHooks hooks;            // lint: allow(guarded-fields): immutable once published
-  std::vector<void*> shards;   // lint: allow(guarded-fields): one writer per index-addressed slot
+  std::size_t n = 0;          // lint: allow(guarded-fields): immutable once published
+  std::size_t grain = 1;      // lint: allow(guarded-fields): immutable once published
+  ShardHooks hooks;           // lint: allow(guarded-fields): immutable once published
+  std::vector<void*> shards;  // lint: allow(guarded-fields): one writer per index-addressed slot
 
-  struct Queue {
-    Mutex mu;
-    std::deque<std::size_t> chunk_ids DAP_GUARDED_BY(mu);
-  };
-  std::vector<std::unique_ptr<Queue>> queues;  // lint: allow(guarded-fields): vector immutable once published
-
+  std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> unfinished_chunks{0};
-  std::atomic<std::size_t> active_workers{0};
+  /// Pool workers still allowed to join (threads - 1 at publication).
+  std::atomic<std::ptrdiff_t> seats{0};
   std::atomic<bool> failed{false};
   Mutex error_mu;
   std::exception_ptr error DAP_GUARDED_BY(error_mu);
@@ -82,25 +113,24 @@ struct Job {
   }
 
   void note_chunk_done() {
-    // Decrementing outside join_mu is safe here (unlike in
-    // note_worker_exit): a pool worker running this still holds its
-    // active_workers slot, so run() cannot pass its final wait — and
-    // destroy the job — until the worker reaches note_worker_exit; the
-    // caller's own chunks run on the thread that later destroys the job.
+    // Touching join_mu after the decrement is safe: a pool worker running
+    // this is still counted in the pool's `inside_`, which run() waits
+    // out before the job dies; the caller's own chunks run on the thread
+    // that later destroys the job.
     if (unfinished_chunks.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       const LockGuard lock(join_mu);
       join_cv.notify_all();
     }
   }
-  void note_worker_exit() {
-    // The decrement MUST happen under join_mu: run()'s final wait
-    // destroys the job (join_mu and join_cv included) as soon as its
-    // predicate sees active_workers == 0, so dropping the count before
-    // taking the lock would let a spuriously-waking caller free the
-    // condvar this thread is about to lock and notify.
-    const LockGuard lock(join_mu);
-    active_workers.fetch_sub(1, std::memory_order_acq_rel);
-    join_cv.notify_all();
+
+  /// Spins, then sleeps, until every chunk has finished.
+  void wait_for_chunks() {
+    const auto done = [this] {
+      return unfinished_chunks.load(std::memory_order_acquire) == 0;
+    };
+    if (spin_until(done)) return;
+    UniqueLock lock(join_mu);
+    while (!done()) join_cv.wait(lock);
   }
 };
 
@@ -135,10 +165,9 @@ void execute_chunk(Job& job, std::size_t chunk_id) {
     const ShardActivation activation(job.hooks, shard);
     if (!job.failed.load(std::memory_order_relaxed)) {
       try {
-        const Chunk& chunk = job.chunks[chunk_id];
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          (*job.body)(i);
-        }
+        const std::size_t begin = chunk_id * job.grain;
+        const std::size_t end = std::min(job.n, begin + job.grain);
+        for (std::size_t i = begin; i < end; ++i) (*job.body)(i);
       } catch (...) {
         job.note_failure(std::current_exception());
       }
@@ -147,95 +176,74 @@ void execute_chunk(Job& job, std::size_t chunk_id) {
   job.note_chunk_done();
 }
 
-/// Drains the job's queues as participant `self`: own deque from the
-/// front, then steal from the back of the other participants' deques.
-void participate(Job& job, std::size_t self) {
-  const std::size_t participants = job.queues.size();
+/// Runs chunks from the job's shared cursor until it passes the end.
+void participate(Job& job) {
+  const std::size_t chunks = job.shards.size();
   for (;;) {
-    std::size_t chunk_id = 0;
-    bool found = false;
-    {
-      Job::Queue& own = *job.queues[self];
-      const LockGuard lock(own.mu);
-      if (!own.chunk_ids.empty()) {
-        chunk_id = own.chunk_ids.front();
-        own.chunk_ids.pop_front();
-        found = true;
-      }
-    }
-    for (std::size_t offset = 1; !found && offset < participants; ++offset) {
-      Job::Queue& victim = *job.queues[(self + offset) % participants];
-      const LockGuard lock(victim.mu);
-      if (!victim.chunk_ids.empty()) {
-        chunk_id = victim.chunk_ids.back();
-        victim.chunk_ids.pop_back();
-        found = true;
-      }
-    }
-    if (!found) return;
-    execute_chunk(job, chunk_id);
+    const std::size_t c =
+        job.next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= chunks) return;
+    execute_chunk(job, c);
   }
 }
 
-/// Lazily grown pool of sleeping workers. A parallel_for publishes its
-/// job with a claim budget; each woken worker claims a participant slot,
-/// drains the job, and goes back to sleep. Workers persist across calls.
-class WorkStealingPool {
+/// Lazily grown pool of workers that serve one job at a time. A job is
+/// published through atomics (pointer, then epoch); a worker that sees
+/// a new epoch raises `inside_`, reads the pointer, takes a seat if one
+/// is left, and drains the shared cursor. Workers and the joining
+/// caller spin for kSpinBudget before they sleep, so back-to-back short
+/// jobs start without a futex wake. Workers persist across calls.
+class WorkerPool {
  public:
-  static WorkStealingPool& instance() {
+  static WorkerPool& instance() {
     // The pool is the engine's own machinery, torn down at process exit.
-    static WorkStealingPool pool;  // lint: allow(global-state): process-wide worker pool
+    static WorkerPool pool;  // lint: allow(global-state): process-wide worker pool
     return pool;
   }
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Runs `job` with `threads` participants (the caller is participant
-  /// 0). Returns after every chunk completed AND every claimed worker
-  /// left the job, so `job` can live on the caller's stack.
+  /// Runs `job` on the caller plus up to `threads - 1` pool workers.
+  /// Returns after every chunk completed AND no worker can still read
+  /// `job`, so `job` can live on the caller's stack. A caller that finds
+  /// the pool serving another thread's job runs every chunk itself.
   void run(Job& job, std::size_t threads) {
     ensure_workers(threads - 1);
-    {
-      const LockGuard lock(mu_);
-      ++generation_;
-      current_job_ = &job;
-      claims_available_ = threads - 1;
-      next_slot_ = 1;
+    if (busy_.exchange(true, std::memory_order_acquire)) {
+      participate(job);
+      return;
     }
-    cv_.notify_all();
-    participate(job, 0);
-    {
-      UniqueLock lock(job.join_mu);
-      while (job.unfinished_chunks.load(std::memory_order_acquire) != 0) {
-        job.join_cv.wait(lock);
-      }
+    job.seats.store(static_cast<std::ptrdiff_t>(threads - 1),
+                    std::memory_order_relaxed);
+    job_.store(&job, std::memory_order_seq_cst);
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    // A sleeper raises sleepers_ under mu_ BEFORE it checks the epoch,
+    // and both pairs of steps are seq_cst: either it sees the new epoch,
+    // or this load sees it. Taking mu_ then orders the notify after its
+    // predicate check, so the wake cannot fall between check and wait.
+    if (sleepers_.load(std::memory_order_seq_cst) != 0) {
+      { const LockGuard lock(mu_); }
+      cv_.notify_all();
     }
-    // Close the claim window BEFORE waiting for workers to leave. Claims
-    // happen under mu_ (including the active_workers increment), so once
-    // current_job_ is cleared here no late-waking worker can attach to
-    // this job, and active_workers already counts every claim that did —
-    // the wait below therefore covers all of them. Waiting on the
-    // combined predicate first instead would let a worker claim after
-    // the caller observed active_workers == 0, touching the
-    // stack-allocated job after run() returned.
-    {
-      const LockGuard lock(mu_);
-      current_job_ = nullptr;
-      claims_available_ = 0;
+    participate(job);
+    job.wait_for_chunks();
+    // A worker raises inside_ BEFORE it reads job_, and all four steps
+    // are seq_cst: once job_ is cleared, every worker that read this job
+    // is counted, so the job outlives the last of them.
+    job_.store(nullptr, std::memory_order_seq_cst);
+    while (inside_.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
     }
-    {
-      UniqueLock lock(job.join_mu);
-      while (job.active_workers.load(std::memory_order_acquire) != 0) {
-        job.join_cv.wait(lock);
-      }
-    }
+    busy_.store(false, std::memory_order_release);
   }
 
  private:
-  WorkStealingPool() = default;
-  ~WorkStealingPool() {
+  WorkerPool() = default;
+  ~WorkerPool() {
     std::vector<std::thread> workers;
     {
       const LockGuard lock(mu_);
-      stop_ = true;
+      stop_.store(true, std::memory_order_seq_cst);
       workers.swap(workers_);
     }
     cv_.notify_all();
@@ -243,43 +251,49 @@ class WorkStealingPool {
   }
 
   void ensure_workers(std::size_t wanted) {
+    if (spawned_.load(std::memory_order_acquire) >= wanted) return;
     const LockGuard lock(mu_);
     while (workers_.size() < wanted && workers_.size() < kMaxThreads - 1) {
       workers_.emplace_back([this] { worker_loop(); });
     }
+    spawned_.store(workers_.size(), std::memory_order_release);
   }
 
   void worker_loop() {
-    std::uint64_t last_generation = 0;
+    std::uint64_t seen = 0;
+    const auto woken = [this, &seen] {
+      return epoch_.load(std::memory_order_seq_cst) != seen ||
+             stop_.load(std::memory_order_seq_cst);
+    };
     for (;;) {
-      Job* job = nullptr;
-      std::size_t slot = 0;
-      {
+      if (!spin_until(woken)) {
         UniqueLock lock(mu_);
-        while (!(stop_ || (current_job_ != nullptr && claims_available_ > 0 &&
-                           generation_ != last_generation))) {
-          cv_.wait(lock);
-        }
-        if (stop_) return;
-        last_generation = generation_;
-        --claims_available_;
-        slot = next_slot_++;
-        job = current_job_;
-        job->active_workers.fetch_add(1, std::memory_order_acq_rel);
+        sleepers_.fetch_add(1, std::memory_order_seq_cst);
+        while (!woken()) cv_.wait(lock);
+        sleepers_.fetch_sub(1, std::memory_order_relaxed);
       }
-      participate(*job, slot);
-      job->note_worker_exit();
+      if (stop_.load(std::memory_order_acquire)) return;
+      inside_.fetch_add(1, std::memory_order_seq_cst);
+      seen = epoch_.load(std::memory_order_seq_cst);
+      Job* job = job_.load(std::memory_order_seq_cst);
+      if (job != nullptr &&
+          job->seats.fetch_sub(1, std::memory_order_relaxed) > 0) {
+        participate(*job);
+      }
+      inside_.fetch_sub(1, std::memory_order_release);
     }
   }
 
+  std::atomic<Job*> job_{nullptr};
+  std::atomic<std::uint64_t> epoch_{0};
+  std::atomic<std::size_t> inside_{0};
+  std::atomic<bool> busy_{false};
+  std::atomic<std::size_t> sleepers_{0};
+  std::atomic<std::size_t> spawned_{0};
+  std::atomic<bool> stop_{false};
   Mutex mu_;
   CondVar cv_;
   std::vector<std::thread> workers_ DAP_GUARDED_BY(mu_);
-  Job* current_job_ DAP_GUARDED_BY(mu_) = nullptr;
-  std::size_t claims_available_ DAP_GUARDED_BY(mu_) = 0;
-  std::size_t next_slot_ DAP_GUARDED_BY(mu_) = 1;
-  std::uint64_t generation_ DAP_GUARDED_BY(mu_) = 0;
-  bool stop_ DAP_GUARDED_BY(mu_) = false;
 };
 
 void run_serial(std::size_t n, const std::function<void(std::size_t)>& body) {
@@ -323,6 +337,10 @@ std::uint64_t subseed(std::uint64_t base_seed, std::uint64_t index) noexcept {
 
 bool in_parallel_region() noexcept { return tls_in_parallel_region; }
 
+double parallel_spin_seconds() noexcept {
+  return static_cast<double>(g_spin_ns.load(std::memory_order_relaxed)) * 1e-9;
+}
+
 void set_shard_hooks(const ShardHooks& hooks) noexcept {
   const LockGuard lock(g_hooks_mu);
   g_hooks = hooks;
@@ -348,42 +366,23 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     return;
   }
 
-  // Several chunks per participant so stealing can rebalance uneven
-  // per-item cost; chunk boundaries depend only on (n, threads, grain).
+  // Several chunks per participant so the shared cursor can even out
+  // uneven per-item cost; chunk boundaries depend only on (n, threads,
+  // grain).
   std::size_t grain = options.grain;
   if (grain == 0) {
     const std::size_t target_chunks = threads * 4;
     grain = (n + target_chunks - 1) / target_chunks;
-    if (grain == 0) grain = 1;
   }
-  const std::size_t chunk_count = (n + grain - 1) / grain;
 
   Job job;
   job.body = &body;
+  job.n = n;
+  job.grain = grain;
   job.hooks = shard_hooks();
-  job.chunks.reserve(chunk_count);
-  for (std::size_t begin = 0; begin < n; begin += grain) {
-    job.chunks.push_back(Chunk{begin, begin + grain < n ? begin + grain : n});
-  }
-  DAP_INVARIANT(job.chunks.size() == chunk_count,
-                "parallel_for: chunk layout must match the computed count");
-  job.shards.assign(job.chunks.size(), nullptr);
-  job.unfinished_chunks.store(job.chunks.size(), std::memory_order_relaxed);
-  job.queues.reserve(threads);
-  for (std::size_t q = 0; q < threads; ++q) {
-    job.queues.push_back(std::make_unique<Job::Queue>());
-  }
-  // Round-robin initial placement; stealing corrects any imbalance. The
-  // queues are not shared until run() publishes the job, but the
-  // analysis has no "pre-publication" notion — taking the (uncontended)
-  // lock here keeps the invariant checkable instead of suppressed.
-  for (std::size_t chunk_id = 0; chunk_id < job.chunks.size(); ++chunk_id) {
-    Job::Queue& queue = *job.queues[chunk_id % threads];
-    const LockGuard lock(queue.mu);
-    queue.chunk_ids.push_back(chunk_id);
-  }
-
-  WorkStealingPool::instance().run(job, threads);
+  job.shards.assign((n + grain - 1) / grain, nullptr);
+  job.unfinished_chunks.store(job.shards.size(), std::memory_order_relaxed);
+  WorkerPool::instance().run(job, threads);
 
   // Merge shards on the calling thread in chunk order: fixed order makes
   // the merged registry reproducible for a fixed configuration.

@@ -1,14 +1,24 @@
 #pragma once
 // Deterministic parallel execution for the experiment layer.
 //
-// `parallel_for` / `parallel_map` fan an index range out over a
-// work-stealing thread pool while keeping results bitwise identical to a
-// serial run: callers pre-derive any per-item RNG state serially (the
+// `parallel_for` / `parallel_map` fan an index range out over a pool of
+// worker threads while keeping results bitwise identical to a serial
+// run: callers pre-derive any per-item RNG state serially (the
 // `subseed` helper and `Rng::fork` both mix with SplitMix64), item
 // results land in index-addressed slots, and every chunk of work runs
 // against a thread-local telemetry shard that is merged back into the
 // process-global registry *in chunk order* on the calling thread once
 // the pool joins.
+//
+// Scheduling: a job's chunks are claimed from one shared atomic cursor
+// by the caller and up to `threads - 1` pool workers. The pool serves
+// one job at a time and publishes it through atomics, so a worker joins
+// without taking a lock. Idle workers, and the caller at the join, spin
+// for a fixed ~40 us before they sleep on a condvar: back-to-back short
+// jobs (a fleet drain every few tens of microseconds) start while the
+// workers are still awake. A second thread that calls parallel_for
+// while the pool serves another job runs all of its chunks itself,
+// through shards, with the same chunk-order merge.
 //
 // The telemetry shards are wired through `ShardHooks` function pointers
 // rather than a direct dependency: dap_obs links dap_common, so this
@@ -19,10 +29,11 @@
 // parallel_for starts, so a job always runs against one consistent hook
 // set even if installation raced with it.
 //
-// Locking discipline: the pool and job internals use the annotated
-// primitives from common/sync.h; a clang build with DAP_THREAD_SAFETY=ON
-// (-Werror=thread-safety) proves every guarded field is only touched
-// under its mutex — the static counterpart of the TSan job.
+// Locking discipline: the pool's sleep/wake path and the job's error
+// slot use the annotated primitives from common/sync.h; a clang build
+// with DAP_THREAD_SAFETY=ON (-Werror=thread-safety) proves every guarded
+// field is only touched under its mutex — the static counterpart of the
+// TSan job.
 //
 // Determinism guarantee (and its edge): experiment outputs (structs,
 // CSV rows) and merged counters / histogram bucket counts are bitwise
@@ -63,6 +74,13 @@ void set_default_threads(std::size_t n) noexcept;
 /// body; nested parallel_for calls detect this and run inline serially.
 [[nodiscard]] bool in_parallel_region() noexcept;
 
+/// Wall seconds this process's pool threads (workers and joining
+/// callers) have spent spinning before a wake-up or a sleep. The spin
+/// counts as busy CPU, so a CPU-utilisation figure includes it; this
+/// total says how much. Engine accounting only: it never enters the obs
+/// registry, whose exports stay identical across thread counts.
+[[nodiscard]] double parallel_spin_seconds() noexcept;
+
 /// Bridge to the telemetry layer (installed by obs/registry.cc).
 /// `create` runs on the executing thread at chunk start; `activate` /
 /// `deactivate` bracket the chunk body (bind/unbind the thread-local
@@ -85,8 +103,8 @@ void set_shard_hooks(const ShardHooks& hooks) noexcept;
 struct ParallelOptions {
   /// Worker count including the calling thread; 0 = default_threads().
   std::size_t threads = 0;
-  /// Indices per chunk; 0 picks a grain that yields several chunks per
-  /// thread for stealing-based load balance.
+  /// Indices per chunk; 0 picks a grain that yields four chunks per
+  /// thread, so the shared chunk cursor can even out uneven item costs.
   std::size_t grain = 0;
 };
 

@@ -289,6 +289,9 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
     live_rounds.emplace_back(interval, &round);
   }
   std::vector<std::uint8_t> flags(plans.size() * stat_members_, 0);
+  // Records each member still stores once its matches are consumed,
+  // summed after the join into the stored-records gauge.
+  std::vector<std::uint32_t> member_stored(stat_members_, 0);
   const std::size_t m = config_.dap.buffers;
   common::parallel_for(stat_members_, [&](std::size_t mi) {
     for (auto& [interval, round] : live_rounds) {
@@ -310,6 +313,11 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
         }
       }
     }
+    std::uint32_t stored = 0;
+    for (const auto& [interval, round] : live_rounds) {
+      stored += round->counts[mi];
+    }
+    member_stored[mi] = stored;
   });
   for (auto& [interval, round] : live_rounds) {
     (void)interval;
@@ -340,10 +348,7 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   pending_.clear();
 
   std::uint64_t stored = 0;
-  for (const auto& [interval, round] : rounds_) {
-    (void)interval;
-    for (const std::uint16_t c : round.counts) stored += c;
-  }
+  for (const std::uint32_t s : member_stored) stored += s;
   stats_.stored_records = stored;
   stats_.stored_records_peak = std::max(stats_.stored_records_peak, stored);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/chaos.h"
@@ -162,6 +164,92 @@ TEST(ParallelFor, RapidSmallJobsJoinSafely) {
         {.threads = 4, .grain = 1});
     for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
+}
+
+TEST(ParallelFor, JobAfterWorkersSleptCoversEveryIndex) {
+  // Warm the pool, then idle far past the workers' spin budget so they
+  // are asleep on the condvar when the next job is published.
+  common::parallel_for(
+      64, [](std::size_t) {}, {.threads = 4, .grain = 1});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The workers spun out their budget before they slept, and said so.
+  EXPECT_GT(common::parallel_spin_seconds(), 0.0);
+  // Each index waits (boundedly) until a second thread has entered the
+  // body, so the job only finishes fast if a sleeping worker woke up.
+  std::mutex mu;
+  std::set<std::thread::id> entered;
+  std::vector<std::atomic<int>> hits(8);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  common::parallel_for(
+      hits.size(),
+      [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        for (;;) {
+          {
+            const std::lock_guard<std::mutex> lock(mu);
+            entered.insert(std::this_thread::get_id());
+            if (entered.size() >= 2) break;
+          }
+          if (std::chrono::steady_clock::now() > deadline) break;
+          std::this_thread::yield();
+        }
+      },
+      {.threads = 4, .grain = 1});
+  EXPECT_GE(entered.size(), 2u) << "no sleeping worker joined the job";
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelFor, ConcurrentCallersGetExactResultsAndMergedCounters) {
+  // Both callers fan out at once; whichever finds the pool busy runs its
+  // chunks on its own thread, still through shards merged in chunk order.
+  const auto run = [](std::size_t threads, std::size_t salt) {
+    obs::Registry target;
+    obs::Registry* prev = obs::Registry::set_thread_override(&target);
+    std::vector<std::atomic<int>> hits(300);
+    std::atomic<int> unsharded{0};
+    common::parallel_for(
+        hits.size(),
+        [&hits, &unsharded, salt](std::size_t i) {
+          hits[i].fetch_add(1);
+          if (!common::in_parallel_region()) unsharded.fetch_add(1);
+          auto& reg = obs::Registry::global();
+          reg.add(reg.counter("ptest.concurrent.items"), i + salt);
+          reg.observe(reg.histogram("ptest.concurrent_us"),
+                      static_cast<double>((i + salt) % 11) + 1.0);
+        },
+        {.threads = threads});
+    obs::Registry::set_thread_override(prev);
+    for (const auto& h : hits) {
+      if (h.load() != 1) return std::string("index coverage broken");
+    }
+    if (threads > 1 && unsharded.load() != 0) {
+      return std::string("a chunk ran outside its shard");
+    }
+    return obs::metrics_json(target, -1.0);
+  };
+  const std::string reference[2] = {run(1, 0), run(1, 5)};
+  std::atomic<int> ready{0};
+  std::string mismatch[2];
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      for (int iter = 0; iter < 200; ++iter) {
+        const std::string got = run(4, c * 5);
+        if (got != reference[c]) {
+          mismatch[c] = got;
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(mismatch[0], "");
+  EXPECT_EQ(mismatch[1], "");
 }
 
 TEST(ParallelFor, FirstExceptionPropagates) {
