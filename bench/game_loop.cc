@@ -197,8 +197,9 @@ std::pair<ProtoPoint, ProtoPoint> run_dap_tpp(double forged_fraction) {
     for (std::size_t f = 0; f < forged_per_interval; ++f) {
       ++dap_point.forged_sent;
       ++tpp_point.forged_sent;
-      dap_rx.receive(dap_forger.forge(i), t_mid + 1 + static_cast<long>(f));
-      tpp_rx.receive(tpp_forger.forge(i), t_mid + 1 + static_cast<long>(f));
+      const sim::SimTime t_forge = t_mid + 1 + f;
+      dap_rx.receive(dap_forger.forge(i), t_forge);
+      tpp_rx.receive(tpp_forger.forge(i), t_forge);
     }
     dap_point.stored_peak = std::max<std::uint64_t>(dap_point.stored_peak,
                                                     dap_rx.stored_records());

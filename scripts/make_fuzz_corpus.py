@@ -179,80 +179,6 @@ def teslapp_seeds():
     }
 
 
-def fleet_scenario_seeds():
-    # Text seeds for the ScenarioSpec JSON dialect: valid specs across
-    # every topology kind (including a full guard + fault plan and the
-    # strategy block's adaptive/sybil/coop extensions), plus malformed
-    # shapes that exercise each rejection path (unknown keys, non-pow2
-    # guard capacity, out-of-range strategy knobs, resource-ceiling
-    # overflow, truncation).
-    chaos = (
-        '{"name": "chaos", "seed": 7, '
-        '"topology": {"kind": "tree", "depth": 2, "fanout": 1}, '
-        '"members_per_cohort": 5, "buffers": 6, "intervals": 10, '
-        '"interval_us": 200000, "forged_fraction": 0.25, '
-        '"guard": {"capacity": 64, "budget_mbps": 0.05, "burst_bits": 512}, '
-        '"faults": {'
-        '"relay_crashes": [{"node": 1, "at_interval": 2, '
-        '"downtime_intervals": 2, "reboot_skew_us": 150000}], '
-        '"partitions": [{"from": 0, "to": 1, "from_interval": 2, '
-        '"until_interval": 3}], '
-        '"degraded": [{"node": 1, "budget_mbps": 0.005}]}}'
-    )
-    seeds = {
-        "tree_chaos_full": chaos,
-        "gossip_minimal":
-            '{"topology": {"kind": "gossip", "relays": 4, "fanin": 2}}',
-        "grid_hop":
-            '{"topology": {"kind": "grid", "rows": 2, "cols": 3}, '
-            '"hop": {"loss": 0.1, "duplicate_probability": 0.2, '
-            '"latency_us": 1000, "jitter_us": 500}}',
-        "flood_attackers":
-            '{"topology": {"kind": "flood", "receivers": 4}, '
-            '"forged_fraction": 0.5, "attackers": [0], '
-            '"relay_dedup": false, "cohorts_at_leaves_only": true}',
-        "guard_only":
-            '{"topology": {"kind": "tree", "depth": 1, "fanout": 2}, '
-            '"guard": {"capacity": 16}}',
-        "strategy_full":
-            '{"topology": {"kind": "tree", "depth": 2, "fanout": 1}, '
-            '"members_per_cohort": 4, "buffers": 2, "intervals": 8, '
-            '"forged_fraction": 0.75, '
-            '"strategy": {'
-            '"adaptive": {"enabled": true, "learning_rate": 0.4, '
-            '"initial_share": 0.5, "reward": 200, "cost": 180}, '
-            '"sybil": {"enabled": true, "cohort": 3, '
-            '"reveal_stagger_us": 1000}, '
-            '"coop": {"enabled": true, "audit_fraction": 0.5, '
-            '"poisoned": true}}}',
-        "strategy_sybil_only":
-            '{"topology": {"kind": "gossip", "relays": 3, "fanin": 2}, '
-            '"strategy": {"sybil": {"enabled": true, "cohort": 8}}}',
-        "strategy_bad_rate":
-            '{"topology": {"kind": "tree"}, "forged_fraction": 0.5, '
-            '"strategy": {"adaptive": {"enabled": true, '
-            '"learning_rate": 2.5}}}',
-        "strategy_unknown_key":
-            '{"topology": {"kind": "tree"}, '
-            '"strategy": {"coop": {"enabled": true, "audit_fractino": 1}}}',
-        "strategy_poison_without_coop":
-            '{"topology": {"kind": "tree"}, '
-            '"strategy": {"coop": {"poisoned": true}}}',
-        "unknown_key": '{"topology": {"kind": "tree"}, "bogus": 1}',
-        "bad_guard_capacity":
-            '{"topology": {"kind": "tree"}, "guard": {"capacity": 48}}',
-        "crash_on_root":
-            '{"topology": {"kind": "tree", "depth": 1, "fanout": 2}, '
-            '"faults": {"relay_crashes": [{"node": 0}]}}',
-        "overflow_nodes":
-            '{"topology": {"kind": "flood", "receivers": 100000000}}',
-        "truncated": '{"topology": {"kind": "tree",',
-        "not_json": "hello",
-        "empty": "",
-    }
-    return {name: text.encode() for name, text in seeds.items()}
-
-
 def sha256_batch_seeds():
     # Stream layout (see fuzz_sha256_batch.cc): u8 message count (mod 17),
     # then per message u8 length + bytes; u8 chain key-size selector;
@@ -301,7 +227,6 @@ def main():
     write_corpus("fuzz_wire_decode", WIRE_SEEDS)
     write_corpus("fuzz_dap_receiver", dap_seeds())
     write_corpus("fuzz_teslapp_receiver", teslapp_seeds())
-    write_corpus("fuzz_fleet_scenario", fleet_scenario_seeds())
     write_corpus("fuzz_sha256_batch", sha256_batch_seeds())
 
 

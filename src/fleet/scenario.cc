@@ -1,12 +1,7 @@
 #include "fleet/scenario.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <map>
 #include <stdexcept>
-#include <utility>
-#include <variant>
 
 #include "common/csv.h"
 
@@ -14,256 +9,8 @@ namespace dap::fleet {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON: objects, arrays, strings (\" and \\ escapes), numbers,
-// booleans. Enough to round-trip ScenarioSpec; anything else is an error.
-
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue>;
-using JsonArray = std::vector<JsonValue>;
-
-struct JsonValue {
-  std::variant<bool, double, std::string, JsonArray, JsonObject> value;
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::invalid_argument("scenario json: " + why + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue{parse_string()};
-    if (c == 't' || c == 'f') return parse_bool();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonObject object;
-    if (peek() == '}') {
-      ++pos_;
-      return JsonValue{std::move(object)};
-    }
-    while (true) {
-      const std::string key = parse_string_at();
-      expect(':');
-      if (!object.emplace(key, parse_value()).second) {
-        fail("duplicate key \"" + key + "\"");
-      }
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return JsonValue{std::move(object)};
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonArray array;
-    if (peek() == ']') {
-      ++pos_;
-      return JsonValue{std::move(array)};
-    }
-    while (true) {
-      array.push_back(parse_value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return JsonValue{std::move(array)};
-    }
-  }
-
-  std::string parse_string_at() {
-    if (peek() != '"') fail("expected string");
-    return parse_string();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        if (e == '"' || e == '\\') {
-          out.push_back(e);
-        } else {
-          fail("unsupported escape sequence");
-        }
-        continue;
-      }
-      out.push_back(c);
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue parse_bool() {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return JsonValue{true};
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return JsonValue{false};
-    }
-    fail("expected 'true' or 'false'");
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number");
-    return JsonValue{parsed};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Typed accessors with strict error messages.
-
-const JsonObject& as_object(const JsonValue& v, const std::string& where) {
-  const auto* obj = std::get_if<JsonObject>(&v.value);
-  if (obj == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be an object");
-  }
-  return *obj;
-}
-
-double as_number(const JsonValue& v, const std::string& where) {
-  const auto* num = std::get_if<double>(&v.value);
-  if (num == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a number");
-  }
-  return *num;
-}
-
-std::uint64_t as_uint(const JsonValue& v, const std::string& where) {
-  const double num = as_number(v, where);
-  if (num < 0 || std::floor(num) != num) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a non-negative integer");
-  }
-  // Cap at 2^53 (the last exactly-representable range): anything larger
-  // is a typo or an attack, and the cast below must stay defined.
-  if (num > 9007199254740992.0) {
-    throw std::invalid_argument("scenario json: " + where + " is too large");
-  }
-  return static_cast<std::uint64_t>(num);
-}
-
-bool as_bool(const JsonValue& v, const std::string& where) {
-  const auto* b = std::get_if<bool>(&v.value);
-  if (b == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a boolean");
-  }
-  return *b;
-}
-
-const std::string& as_string(const JsonValue& v, const std::string& where) {
-  const auto* s = std::get_if<std::string>(&v.value);
-  if (s == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a string");
-  }
-  return *s;
-}
-
-/// Rejects keys the schema does not know, naming the first offender.
-void reject_unknown_keys(const JsonObject& object,
-                         std::initializer_list<const char*> known,
-                         const std::string& where) {
-  for (const auto& [key, value] : object) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : known) {
-      // lint: allow(secret-taint): JSON field name, not key material
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::invalid_argument("scenario json: unknown key \"" + key +
-                                  "\" in " + where);
-    }
-  }
-}
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-const JsonArray& as_array(const JsonValue& v, const std::string& where) {
-  const auto* array = std::get_if<JsonArray>(&v.value);
-  if (array == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be an array");
-  }
-  return *array;
-}
-
-/// Untrusted-input ceilings: a spec is a scenario description, not a
-/// resource grant — parsing one must never commit the process to huge
+/// Resource ceilings: a spec is a scenario description, not a resource
+/// grant — validating one must never commit the process to huge
 /// allocations before anyone decides to run it.
 constexpr std::uint64_t kMaxNodes = 1ULL << 22;          // relay graph
 constexpr std::uint64_t kMaxMembersPerCohort = 1ULL << 24;
@@ -356,421 +103,6 @@ std::string ScenarioSpec::id() const {
               : "");
 }
 
-std::string ScenarioSpec::to_json() const {
-  std::string topo = "{\"kind\": " +
-                     quote(topology_kind_name(kind));
-  switch (kind) {
-    case TopologyKind::kTree:
-      topo += ", \"depth\": " + std::to_string(depth) +
-              ", \"fanout\": " + std::to_string(fanout);
-      break;
-    case TopologyKind::kGrid:
-      topo += ", \"rows\": " + std::to_string(rows) +
-              ", \"cols\": " + std::to_string(cols);
-      break;
-    case TopologyKind::kGossip:
-      topo += ", \"relays\": " + std::to_string(relays) +
-              ", \"fanin\": " + std::to_string(fanin);
-      break;
-    case TopologyKind::kFlood:
-      topo += ", \"receivers\": " + std::to_string(receivers);
-      break;
-  }
-  topo += "}";
-
-  std::string attacker_list = "[";
-  for (std::size_t i = 0; i < attackers.size(); ++i) {
-    attacker_list += (i == 0 ? "" : ", ") + std::to_string(attackers[i]);
-  }
-  attacker_list += "]";
-
-  std::string guard_json =
-      "{\"capacity\": " + std::to_string(guard.capacity) +
-      ", \"budget_mbps\": " + common::format_number(guard.budget_mbps) +
-      ", \"burst_bits\": " + common::format_number(guard.burst_bits) + "}";
-
-  // Fault plan: sub-arrays appear only when non-empty, so a fault-free
-  // spec's JSON is unchanged and the emitted form is canonical.
-  std::string fault_json;
-  if (!faults.empty()) {
-    fault_json = ", \"faults\": {";
-    std::string sep;
-    if (!faults.relay_crashes.empty()) {
-      fault_json += "\"relay_crashes\": [";
-      for (std::size_t i = 0; i < faults.relay_crashes.size(); ++i) {
-        const RelayCrashSpec& c = faults.relay_crashes[i];
-        fault_json += (i == 0 ? "" : ", ");
-        fault_json += "{\"node\": " + std::to_string(c.node) +
-                      ", \"at_interval\": " + std::to_string(c.at_interval) +
-                      ", \"downtime_intervals\": " +
-                      std::to_string(c.downtime_intervals) +
-                      ", \"reboot_skew_us\": " +
-                      std::to_string(c.reboot_skew_us) + "}";
-      }
-      fault_json += "]";
-      sep = ", ";
-    }
-    if (!faults.partitions.empty()) {
-      fault_json += sep + "\"partitions\": [";
-      for (std::size_t i = 0; i < faults.partitions.size(); ++i) {
-        const LinkPartitionSpec& p = faults.partitions[i];
-        fault_json += (i == 0 ? "" : ", ");
-        fault_json += "{\"from\": " + std::to_string(p.from) +
-                      ", \"to\": " + std::to_string(p.to) +
-                      ", \"from_interval\": " +
-                      std::to_string(p.from_interval) +
-                      ", \"until_interval\": " +
-                      std::to_string(p.until_interval) + "}";
-      }
-      fault_json += "]";
-      sep = ", ";
-    }
-    if (!faults.degraded.empty()) {
-      fault_json += sep + "\"degraded\": [";
-      for (std::size_t i = 0; i < faults.degraded.size(); ++i) {
-        const DegradedRelaySpec& d = faults.degraded[i];
-        fault_json += (i == 0 ? "" : ", ");
-        fault_json += "{\"node\": " + std::to_string(d.node) +
-                      ", \"budget_mbps\": " +
-                      common::format_number(d.budget_mbps) + "}";
-      }
-      fault_json += "]";
-    }
-    fault_json += "}";
-  }
-
-  // Strategy block: emitted only when engaged, and within it only the
-  // enabled sub-blocks, so a plain spec's JSON is unchanged and the
-  // emitted form stays canonical.
-  std::string strategy_json;
-  if (strategy.engaged()) {
-    strategy_json = ", \"strategy\": {";
-    std::string sep;
-    if (strategy.adaptive.enabled) {
-      strategy_json +=
-          "\"adaptive\": {\"enabled\": true, \"learning_rate\": " +
-          common::format_number(strategy.adaptive.learning_rate) +
-          ", \"initial_share\": " +
-          common::format_number(strategy.adaptive.initial_share) +
-          ", \"reward\": " + common::format_number(strategy.adaptive.reward) +
-          ", \"cost\": " + common::format_number(strategy.adaptive.cost) +
-          "}";
-      sep = ", ";
-    }
-    if (strategy.sybil.enabled) {
-      strategy_json += sep + "\"sybil\": {\"enabled\": true, \"cohort\": " +
-                       std::to_string(strategy.sybil.cohort) +
-                       ", \"reveal_stagger_us\": " +
-                       std::to_string(strategy.sybil.reveal_stagger_us) + "}";
-      sep = ", ";
-    }
-    if (strategy.coop.enabled) {
-      strategy_json +=
-          sep + "\"coop\": {\"enabled\": true, \"audit_fraction\": " +
-          common::format_number(strategy.coop.audit_fraction) +
-          ", \"poisoned\": " + (strategy.coop.poisoned ? "true" : "false") +
-          "}";
-    }
-    strategy_json += "}";
-  }
-
-  return "{\"name\": " + quote(name) +
-         ", \"seed\": " + std::to_string(seed) +
-         ", \"topology\": " + topo +
-         ", \"members_per_cohort\": " + std::to_string(members_per_cohort) +
-         ", \"buffers\": " + std::to_string(buffers) +
-         ", \"cohorts_at_leaves_only\": " +
-         (cohorts_at_leaves_only ? "true" : "false") +
-         ", \"intervals\": " + std::to_string(intervals) +
-         ", \"interval_us\": " + std::to_string(interval_us) +
-         ", \"forged_fraction\": " + common::format_number(forged_fraction) +
-         ", \"attackers\": " + attacker_list +
-         ", \"relay_dedup\": " + (relay_dedup ? "true" : "false") +
-         ", \"guard\": " + guard_json + fault_json + strategy_json +
-         ", \"hop\": {\"loss\": " + common::format_number(hop.loss) +
-         ", \"duplicate_probability\": " +
-         common::format_number(hop.duplicate_probability) +
-         ", \"latency_us\": " + std::to_string(hop.latency_us) +
-         ", \"jitter_us\": " + std::to_string(hop.jitter_us) + "}}";
-}
-
-ScenarioSpec ScenarioSpec::parse(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  const JsonObject& object = as_object(root, "document");
-  reject_unknown_keys(object,
-                      {"name", "seed", "topology", "members_per_cohort",
-                       "buffers", "cohorts_at_leaves_only", "intervals",
-                       "interval_us", "forged_fraction", "attackers",
-                       "relay_dedup", "guard", "faults", "strategy", "hop"},
-                      "document");
-
-  ScenarioSpec spec;
-  if (const auto it = object.find("name"); it != object.end()) {
-    spec.name = as_string(it->second, "name");
-  }
-  if (const auto it = object.find("seed"); it != object.end()) {
-    spec.seed = as_uint(it->second, "seed");
-  }
-
-  const auto topo_it = object.find("topology");
-  if (topo_it == object.end()) {
-    throw std::invalid_argument("scenario json: missing \"topology\"");
-  }
-  const JsonObject& topo = as_object(topo_it->second, "topology");
-  const auto kind_it = topo.find("kind");
-  if (kind_it == topo.end()) {
-    throw std::invalid_argument("scenario json: topology missing \"kind\"");
-  }
-  spec.kind =
-      topology_kind_from_name(as_string(kind_it->second, "topology.kind"));
-  const auto topo_uint = [&topo](const char* key, std::uint32_t fallback) {
-    const auto it = topo.find(key);
-    if (it == topo.end()) return fallback;
-    return static_cast<std::uint32_t>(
-        as_uint(it->second, std::string("topology.") + key));
-  };
-  switch (spec.kind) {
-    case TopologyKind::kTree:
-      reject_unknown_keys(topo, {"kind", "depth", "fanout"}, "topology");
-      spec.depth = topo_uint("depth", spec.depth);
-      spec.fanout = topo_uint("fanout", spec.fanout);
-      break;
-    case TopologyKind::kGrid:
-      reject_unknown_keys(topo, {"kind", "rows", "cols"}, "topology");
-      spec.rows = topo_uint("rows", spec.rows);
-      spec.cols = topo_uint("cols", spec.cols);
-      break;
-    case TopologyKind::kGossip:
-      reject_unknown_keys(topo, {"kind", "relays", "fanin"}, "topology");
-      spec.relays = topo_uint("relays", spec.relays);
-      spec.fanin = topo_uint("fanin", spec.fanin);
-      break;
-    case TopologyKind::kFlood:
-      reject_unknown_keys(topo, {"kind", "receivers"}, "topology");
-      spec.receivers = topo_uint("receivers", spec.receivers);
-      break;
-  }
-
-  if (const auto it = object.find("members_per_cohort"); it != object.end()) {
-    spec.members_per_cohort =
-        static_cast<std::size_t>(as_uint(it->second, "members_per_cohort"));
-  }
-  if (const auto it = object.find("buffers"); it != object.end()) {
-    spec.buffers = static_cast<std::size_t>(as_uint(it->second, "buffers"));
-  }
-  if (const auto it = object.find("cohorts_at_leaves_only");
-      it != object.end()) {
-    spec.cohorts_at_leaves_only =
-        as_bool(it->second, "cohorts_at_leaves_only");
-  }
-  if (const auto it = object.find("intervals"); it != object.end()) {
-    spec.intervals = static_cast<std::uint32_t>(as_uint(it->second, "intervals"));
-  }
-  if (const auto it = object.find("interval_us"); it != object.end()) {
-    spec.interval_us = as_uint(it->second, "interval_us");
-  }
-  if (const auto it = object.find("forged_fraction"); it != object.end()) {
-    spec.forged_fraction = as_number(it->second, "forged_fraction");
-  }
-  if (const auto it = object.find("attackers"); it != object.end()) {
-    const auto* array = std::get_if<JsonArray>(&it->second.value);
-    if (array == nullptr) {
-      throw std::invalid_argument(
-          "scenario json: attackers must be an array");
-    }
-    for (std::size_t i = 0; i < array->size(); ++i) {
-      spec.attackers.push_back(static_cast<std::uint32_t>(as_uint(
-          (*array)[i], "attackers[" + std::to_string(i) + "]")));
-    }
-  }
-  if (const auto it = object.find("relay_dedup"); it != object.end()) {
-    spec.relay_dedup = as_bool(it->second, "relay_dedup");
-  }
-  if (const auto it = object.find("guard"); it != object.end()) {
-    const JsonObject& guard = as_object(it->second, "guard");
-    reject_unknown_keys(guard, {"capacity", "budget_mbps", "burst_bits"},
-                        "guard");
-    if (const auto g = guard.find("capacity"); g != guard.end()) {
-      spec.guard.capacity =
-          static_cast<std::size_t>(as_uint(g->second, "guard.capacity"));
-    }
-    if (const auto g = guard.find("budget_mbps"); g != guard.end()) {
-      spec.guard.budget_mbps = as_number(g->second, "guard.budget_mbps");
-    }
-    if (const auto g = guard.find("burst_bits"); g != guard.end()) {
-      spec.guard.burst_bits = as_number(g->second, "guard.burst_bits");
-    }
-  }
-  if (const auto it = object.find("faults"); it != object.end()) {
-    const JsonObject& faults = as_object(it->second, "faults");
-    reject_unknown_keys(faults, {"relay_crashes", "partitions", "degraded"},
-                        "faults");
-    if (const auto f = faults.find("relay_crashes"); f != faults.end()) {
-      const JsonArray& crashes = as_array(f->second, "faults.relay_crashes");
-      for (std::size_t i = 0; i < crashes.size(); ++i) {
-        const std::string at =
-            "faults.relay_crashes[" + std::to_string(i) + "]";
-        const JsonObject& crash = as_object(crashes[i], at);
-        reject_unknown_keys(crash,
-                            {"node", "at_interval", "downtime_intervals",
-                             "reboot_skew_us"},
-                            at);
-        RelayCrashSpec out;
-        if (const auto c = crash.find("node"); c != crash.end()) {
-          out.node =
-              static_cast<std::uint32_t>(as_uint(c->second, at + ".node"));
-        }
-        if (const auto c = crash.find("at_interval"); c != crash.end()) {
-          out.at_interval = static_cast<std::uint32_t>(
-              as_uint(c->second, at + ".at_interval"));
-        }
-        if (const auto c = crash.find("downtime_intervals");
-            c != crash.end()) {
-          out.downtime_intervals = static_cast<std::uint32_t>(
-              as_uint(c->second, at + ".downtime_intervals"));
-        }
-        if (const auto c = crash.find("reboot_skew_us"); c != crash.end()) {
-          out.reboot_skew_us = as_uint(c->second, at + ".reboot_skew_us");
-        }
-        spec.faults.relay_crashes.push_back(out);
-      }
-    }
-    if (const auto f = faults.find("partitions"); f != faults.end()) {
-      const JsonArray& partitions = as_array(f->second, "faults.partitions");
-      for (std::size_t i = 0; i < partitions.size(); ++i) {
-        const std::string at = "faults.partitions[" + std::to_string(i) + "]";
-        const JsonObject& partition = as_object(partitions[i], at);
-        reject_unknown_keys(partition,
-                            {"from", "to", "from_interval", "until_interval"},
-                            at);
-        LinkPartitionSpec out;
-        if (const auto p = partition.find("from"); p != partition.end()) {
-          out.from =
-              static_cast<std::uint32_t>(as_uint(p->second, at + ".from"));
-        }
-        if (const auto p = partition.find("to"); p != partition.end()) {
-          out.to = static_cast<std::uint32_t>(as_uint(p->second, at + ".to"));
-        }
-        if (const auto p = partition.find("from_interval");
-            p != partition.end()) {
-          out.from_interval = static_cast<std::uint32_t>(
-              as_uint(p->second, at + ".from_interval"));
-        }
-        if (const auto p = partition.find("until_interval");
-            p != partition.end()) {
-          out.until_interval = static_cast<std::uint32_t>(
-              as_uint(p->second, at + ".until_interval"));
-        }
-        spec.faults.partitions.push_back(out);
-      }
-    }
-    if (const auto f = faults.find("degraded"); f != faults.end()) {
-      const JsonArray& degraded_list = as_array(f->second, "faults.degraded");
-      for (std::size_t i = 0; i < degraded_list.size(); ++i) {
-        const std::string at = "faults.degraded[" + std::to_string(i) + "]";
-        const JsonObject& degraded = as_object(degraded_list[i], at);
-        reject_unknown_keys(degraded, {"node", "budget_mbps"}, at);
-        DegradedRelaySpec out;
-        if (const auto d = degraded.find("node"); d != degraded.end()) {
-          out.node =
-              static_cast<std::uint32_t>(as_uint(d->second, at + ".node"));
-        }
-        if (const auto d = degraded.find("budget_mbps");
-            d != degraded.end()) {
-          out.budget_mbps = as_number(d->second, at + ".budget_mbps");
-        }
-        spec.faults.degraded.push_back(out);
-      }
-    }
-  }
-  if (const auto it = object.find("hop"); it != object.end()) {
-    const JsonObject& hop = as_object(it->second, "hop");
-    reject_unknown_keys(
-        hop, {"loss", "duplicate_probability", "latency_us", "jitter_us"},
-        "hop");
-    if (const auto h = hop.find("loss"); h != hop.end()) {
-      spec.hop.loss = as_number(h->second, "hop.loss");
-    }
-    if (const auto h = hop.find("duplicate_probability"); h != hop.end()) {
-      spec.hop.duplicate_probability =
-          as_number(h->second, "hop.duplicate_probability");
-    }
-    if (const auto h = hop.find("latency_us"); h != hop.end()) {
-      spec.hop.latency_us = as_uint(h->second, "hop.latency_us");
-    }
-    if (const auto h = hop.find("jitter_us"); h != hop.end()) {
-      spec.hop.jitter_us = as_uint(h->second, "hop.jitter_us");
-    }
-  }
-  if (const auto it = object.find("strategy"); it != object.end()) {
-    const JsonObject& strategy = as_object(it->second, "strategy");
-    reject_unknown_keys(strategy, {"adaptive", "sybil", "coop"}, "strategy");
-    if (const auto s = strategy.find("adaptive"); s != strategy.end()) {
-      const JsonObject& adaptive = as_object(s->second, "strategy.adaptive");
-      reject_unknown_keys(adaptive,
-                          {"enabled", "learning_rate", "initial_share",
-                           "reward", "cost"},
-                          "strategy.adaptive");
-      AdaptiveAdversarySpec& out = spec.strategy.adaptive;
-      if (const auto a = adaptive.find("enabled"); a != adaptive.end()) {
-        out.enabled = as_bool(a->second, "strategy.adaptive.enabled");
-      }
-      if (const auto a = adaptive.find("learning_rate");
-          a != adaptive.end()) {
-        out.learning_rate =
-            as_number(a->second, "strategy.adaptive.learning_rate");
-      }
-      if (const auto a = adaptive.find("initial_share");
-          a != adaptive.end()) {
-        out.initial_share =
-            as_number(a->second, "strategy.adaptive.initial_share");
-      }
-      if (const auto a = adaptive.find("reward"); a != adaptive.end()) {
-        out.reward = as_number(a->second, "strategy.adaptive.reward");
-      }
-      if (const auto a = adaptive.find("cost"); a != adaptive.end()) {
-        out.cost = as_number(a->second, "strategy.adaptive.cost");
-      }
-    }
-    if (const auto s = strategy.find("sybil"); s != strategy.end()) {
-      const JsonObject& sybil = as_object(s->second, "strategy.sybil");
-      reject_unknown_keys(sybil, {"enabled", "cohort", "reveal_stagger_us"},
-                          "strategy.sybil");
-      SybilSpec& out = spec.strategy.sybil;
-      if (const auto y = sybil.find("enabled"); y != sybil.end()) {
-        out.enabled = as_bool(y->second, "strategy.sybil.enabled");
-      }
-      if (const auto y = sybil.find("cohort"); y != sybil.end()) {
-        out.cohort = static_cast<std::uint32_t>(
-            as_uint(y->second, "strategy.sybil.cohort"));
-      }
-      if (const auto y = sybil.find("reveal_stagger_us"); y != sybil.end()) {
-        out.reveal_stagger_us =
-            as_uint(y->second, "strategy.sybil.reveal_stagger_us");
-      }
-    }
-    if (const auto s = strategy.find("coop"); s != strategy.end()) {
-      const JsonObject& coop = as_object(s->second, "strategy.coop");
-      reject_unknown_keys(coop, {"enabled", "audit_fraction", "poisoned"},
-                          "strategy.coop");
-      CoopSpec& out = spec.strategy.coop;
-      if (const auto c = coop.find("enabled"); c != coop.end()) {
-        out.enabled = as_bool(c->second, "strategy.coop.enabled");
-      }
-      if (const auto c = coop.find("audit_fraction"); c != coop.end()) {
-        out.audit_fraction =
-            as_number(c->second, "strategy.coop.audit_fraction");
-      }
-      if (const auto c = coop.find("poisoned"); c != coop.end()) {
-        out.poisoned = as_bool(c->second, "strategy.coop.poisoned");
-      }
-    }
-  }
-
-  spec.validate();
-  return spec;
-}
-
 void ScenarioSpec::validate() const {
   if (members_per_cohort == 0 || members_per_cohort > kMaxMembersPerCohort) {
     throw std::invalid_argument(
@@ -815,8 +147,8 @@ void ScenarioSpec::validate() const {
     throw std::invalid_argument(
         "ScenarioSpec: guard.burst_bits must be finite and >= 0");
   }
-  // Resource ceiling BEFORE materializing the graph: a parsed spec is
-  // untrusted input, and the topology builders allocate O(nodes).
+  // Resource ceiling BEFORE materializing the graph: the topology
+  // builders allocate O(nodes).
   if (estimated_nodes(*this) > static_cast<double>(kMaxNodes)) {
     throw std::invalid_argument(
         "ScenarioSpec: topology implies more than 2^22 nodes");

@@ -3,11 +3,8 @@
 //
 // A ScenarioSpec captures everything a fleet run needs — topology shape,
 // cohort sizing, traffic length, hop fault model, adversary placement —
-// as one value that round-trips through a small JSON dialect (objects,
-// arrays, strings, numbers, booleans; no nulls, no comments). Benches
-// and tests build specs in code; operators can also load them from a
-// file, and unknown keys are rejected so a typo never silently runs the
-// default scenario.
+// as one plain value. Benches, analysis drivers and tests build specs
+// in code; validate() bounds every field before a run allocates.
 
 #include <cstdint>
 #include <string>
@@ -174,7 +171,7 @@ struct ScenarioSpec {
 
   /// Adaptive-adversary / sybil / cooperative-verification extensions,
   /// interpreted by strategy::run_scenario (a plain FleetSim::run
-  /// ignores them). Emitted to JSON only when engaged.
+  /// ignores them).
   StrategySpec strategy{};
 
   HopSpec hop{};
@@ -188,13 +185,6 @@ struct ScenarioSpec {
   /// Compact identifier for CSV rows and the bench metrics footer, e.g.
   /// "tree_d3f4_m1200_p0.5".
   [[nodiscard]] std::string id() const;
-
-  /// Serializes to the JSON dialect parse() accepts (round-trips).
-  [[nodiscard]] std::string to_json() const;
-
-  /// Parses a spec; throws std::invalid_argument on malformed JSON,
-  /// unknown keys, or values that fail validation (e.g. zero members).
-  [[nodiscard]] static ScenarioSpec parse(const std::string& json);
 
   /// Throws std::invalid_argument when fields are out of range.
   void validate() const;

@@ -27,14 +27,6 @@ const char* topology_kind_name(TopologyKind kind) noexcept {
   return "unknown";
 }
 
-TopologyKind topology_kind_from_name(const std::string& name) {
-  if (name == "tree") return TopologyKind::kTree;
-  if (name == "grid") return TopologyKind::kGrid;
-  if (name == "gossip") return TopologyKind::kGossip;
-  if (name == "flood") return TopologyKind::kFlood;
-  throw std::invalid_argument("unknown topology kind: " + name);
-}
-
 void Topology::validate() const {
   if (node_count == 0) {
     throw std::invalid_argument("topology: node_count must be >= 1");

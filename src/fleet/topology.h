@@ -17,7 +17,6 @@
 // attached per-edge by fleet::FleetSim.
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,11 +29,8 @@ enum class TopologyKind : std::uint8_t {
   kFlood,
 };
 
-/// Lowercase name used by scenario JSON and CSV output ("tree", ...).
+/// Lowercase name used by scenario ids and CSV output ("tree", ...).
 [[nodiscard]] const char* topology_kind_name(TopologyKind kind) noexcept;
-
-/// Parses a kind name; throws std::invalid_argument on unknown names.
-[[nodiscard]] TopologyKind topology_kind_from_name(const std::string& name);
 
 struct Topology {
   TopologyKind kind = TopologyKind::kFlood;

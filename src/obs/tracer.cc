@@ -93,7 +93,7 @@ Tracer Tracer::growable(std::size_t capacity) {
 }
 
 void Tracer::set_capacity(std::size_t capacity) {
-  if (total_ != 0 || span_total_ != 0 || !open_spans_.empty()) {
+  if (total_ != 0 || span_total_ != 0) {
     throw std::logic_error(
         "Tracer::set_capacity: tracer must be empty (clear() first)");
   }
@@ -127,26 +127,6 @@ std::vector<TraceEvent> Tracer::snapshot() const {
 void Tracer::record_span(const SpanEvent& span) noexcept {
   if (!enabled_) return;
   ring_write(span_ring_, span_total_, capacity_, span);
-}
-
-void Tracer::span_begin(const SpanEvent& span) {
-  if (!enabled_) return;
-  open_spans_.push_back(span);
-}
-
-void Tracer::span_end(std::uint64_t uid, std::uint64_t t_end,
-                      SpanTag tag) noexcept {
-  if (!enabled_) return;
-  for (std::size_t i = 0; i < open_spans_.size(); ++i) {
-    if (open_spans_[i].uid != uid) continue;
-    SpanEvent span = open_spans_[i];
-    span.t_end = t_end;
-    span.tag = tag;
-    open_spans_.erase(open_spans_.begin() +
-                      static_cast<std::ptrdiff_t>(i));
-    record_span(span);
-    return;
-  }
 }
 
 std::size_t Tracer::span_size() const noexcept {
@@ -239,7 +219,6 @@ void Tracer::export_chrome_trace(std::ostream& out) const {
 void Tracer::clear() noexcept {
   total_ = 0;
   span_total_ = 0;
-  open_spans_.clear();
 }
 
 void Tracer::append_from(const Tracer& other) {

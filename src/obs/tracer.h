@@ -120,12 +120,6 @@ class Tracer {
   /// Records one complete (already closed) span while enabled. Spans
   /// live in their own ring with the same overwrite-oldest policy.
   void record_span(const SpanEvent& span) noexcept;
-  /// Opens a span (t_end ignored); held outside the ring until closed.
-  void span_begin(const SpanEvent& span);
-  /// Closes the open span `uid`, stamping `t_end` and `tag`, and moves
-  /// it into the span ring. Unknown uids are ignored.
-  void span_end(std::uint64_t uid, std::uint64_t t_end,
-                SpanTag tag = SpanTag::kNone) noexcept;
 
   [[nodiscard]] std::size_t span_capacity() const noexcept {
     return capacity_;
@@ -137,10 +131,6 @@ class Tracer {
   }
   [[nodiscard]] std::uint64_t spans_dropped() const noexcept {
     return span_total_ - span_size();
-  }
-  /// Spans begun but not yet ended.
-  [[nodiscard]] std::size_t open_spans() const noexcept {
-    return open_spans_.size();
   }
 
   /// Retained closed spans, oldest first.
@@ -158,10 +148,10 @@ class Tracer {
 
   void clear() noexcept;
 
-  /// Replays `other`'s retained events and closed spans into this
-  /// tracer (oldest first) via record()/record_span(), so capacity/drop
-  /// accounting applies as if they had been recorded here. Open spans
-  /// are not transferred. Used by the parallel shard merge.
+  /// Replays `other`'s retained events and spans into this tracer
+  /// (oldest first) via record()/record_span(), so capacity/drop
+  /// accounting applies as if they had been recorded here. Used by the
+  /// parallel shard merge.
   void append_from(const Tracer& other);
 
   /// Process-wide tracer (disabled until a caller enables it) — unless
@@ -182,7 +172,6 @@ class Tracer {
   std::uint64_t total_ = 0;
   std::vector<SpanEvent> span_ring_;
   std::uint64_t span_total_ = 0;
-  std::vector<SpanEvent> open_spans_;  // begun, not yet ended
   bool enabled_ = false;
 };
 

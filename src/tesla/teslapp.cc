@@ -94,8 +94,6 @@ TeslaPpReceiver::Telemetry TeslaPpReceiver::make_telemetry() {
       reg.counter("teslapp.admissions_shed"),
       reg.counter("teslapp.crash_restarts"),
       reg.counter("teslapp.mac_key_derivations"),
-      reg.counter("teslapp.reveal_batches"),
-      reg.counter("teslapp.batched_reveals"),
       reg.histogram("teslapp.rx_announce_us"),
       reg.histogram("teslapp.rx_reveal_us"),
   };
@@ -163,7 +161,6 @@ void TeslaPpReceiver::tick(sim::SimTime local_now) {
 
 void TeslaPpReceiver::crash_restart(sim::SimTime /*local_now*/) {
   records_.clear();
-  pending_.clear();
   auth_.rebase_to_newest();
   calibration_.reset();
   resync_.invalidate();
@@ -226,41 +223,12 @@ std::vector<AuthenticatedMessage> TeslaPpReceiver::receive(
     const wire::MessageReveal& packet, sim::SimTime local_now) {
   DAP_REQUIRE(config_.self_mac_size > 0,
               "TeslaPpReceiver::receive: receiver must be configured");
-  return process_reveal(packet, local_now, nullptr);
-}
-
-void TeslaPpReceiver::enqueue(const wire::MessageReveal& packet) {
-  pending_.push_back(packet);
-}
-
-std::vector<std::vector<AuthenticatedMessage>>
-TeslaPpReceiver::drain_pending_batch(sim::SimTime local_now) {
-  std::vector<std::vector<AuthenticatedMessage>> out;
-  out.reserve(pending_.size());
-  if (pending_.empty()) return out;
-  auto& reg = obs::Registry::global();
-  reg.add(telemetry_.reveal_batches);
-  reg.add(telemetry_.batched_reveals, pending_.size());
-  BatchContext batch;
-  while (!pending_.empty()) {
-    const wire::MessageReveal packet = std::move(pending_.front());
-    pending_.pop_front();
-    out.push_back(process_reveal(packet, local_now, &batch));
-  }
-  return out;
-}
-
-std::vector<AuthenticatedMessage> TeslaPpReceiver::process_reveal(
-    const wire::MessageReveal& packet, sim::SimTime local_now,
-    BatchContext* batch) {
   auto& reg = obs::Registry::global();
   thread_local obs::SampleSite site;
   const obs::SampledTimer timer(reg, telemetry_.rx_reveal_latency, site);
   tick(local_now);
   ++stats_.reveals_received;
   reg.add(telemetry_.reveals_received);
-  // Weak authentication is never cached across a batch: same-interval
-  // reveals can carry different key bytes.
   if (!auth_.accept(packet.interval, packet.key)) {
     ++stats_.keys_rejected;
     reg.add(telemetry_.keys_rejected);
@@ -268,26 +236,11 @@ std::vector<AuthenticatedMessage> TeslaPpReceiver::process_reveal(
     tick(local_now);
     return {};
   }
-  // In a batch the interval's MAC key F'(K_i) is derived once and shared
-  // by every reveal of that interval.
-  common::Bytes mac_key;
-  const common::Bytes* cached = nullptr;
-  if (batch != nullptr) {
-    const auto it = batch->mac_keys.find(packet.interval);
-    if (it != batch->mac_keys.end()) cached = &it->second;
-  }
-  if (cached == nullptr) {
-    mac_key = *auth_.mac_key(packet.interval);
-    ++stats_.mac_key_derivations;
-    reg.add(telemetry_.mac_key_derivations);
-    if (batch != nullptr) {
-      cached = &batch->mac_keys.emplace(packet.interval, mac_key).first->second;
-    } else {
-      cached = &mac_key;
-    }
-  }
+  const common::Bytes mac_key = *auth_.mac_key(packet.interval);
+  ++stats_.mac_key_derivations;
+  reg.add(telemetry_.mac_key_derivations);
   const common::Bytes expected_mac =
-      crypto::compute_mac(*cached, packet.message, config_.mac_size);
+      crypto::compute_mac(mac_key, packet.message, config_.mac_size);
   const common::Bytes expected_record =
       self_mac(packet.interval, expected_mac);
 

@@ -15,7 +15,6 @@
 // is covered by the WOTS bootstrap signature, per DESIGN.md.)
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -123,7 +122,7 @@ struct TeslaPpStats {
   std::uint64_t unmatched = 0;  // reveal without a matching stored record
   std::uint64_t admissions_shed = 0;  // dropped at the record pool cap
   std::uint64_t crash_restarts = 0;
-  std::uint64_t mac_key_derivations = 0;  // F'(K_i) computations (batching KPI)
+  std::uint64_t mac_key_derivations = 0;  // F'(K_i) computations
 };
 
 class TeslaPpReceiver {
@@ -148,23 +147,6 @@ class TeslaPpReceiver {
   /// self-MAC and match it against interval i's stored records.
   std::vector<AuthenticatedMessage> receive(const wire::MessageReveal& packet,
                                             sim::SimTime local_now);
-
-  // ---- Batched reveal verification ---------------------------------------
-
-  /// Queues a reveal for deferred processing by drain_pending_batch().
-  void enqueue(const wire::MessageReveal& packet);
-
-  /// Reveals currently queued.
-  [[nodiscard]] std::size_t pending_reveals() const noexcept {
-    return pending_.size();
-  }
-
-  /// Processes every queued reveal in arrival order, deriving each
-  /// interval's MAC key F'(K_i) once per drain instead of once per
-  /// reveal. Outcomes match one-at-a-time receive() calls at the same
-  /// `local_now` exactly; slot k holds the k-th packet's result.
-  std::vector<std::vector<AuthenticatedMessage>> drain_pending_batch(
-      sim::SimTime local_now);
 
   [[nodiscard]] const TeslaPpStats& stats() const noexcept { return stats_; }
   /// Bits currently held in record storage (for the memory experiments).
@@ -195,18 +177,6 @@ class TeslaPpReceiver {
   [[nodiscard]] common::Bytes self_mac(std::uint32_t interval,
                                        common::ByteView mac) const;
 
-  /// Per-drain cache of derived MAC keys (outcomes are never cached:
-  /// same-interval reveals can carry different key bytes).
-  struct BatchContext {
-    std::map<std::uint32_t, common::Bytes> mac_keys;
-  };
-
-  /// Shared reveal path: receive() passes no context, the batch drain
-  /// passes one context per drain.
-  std::vector<AuthenticatedMessage> process_reveal(
-      const wire::MessageReveal& packet, sim::SimTime local_now,
-      BatchContext* batch);
-
   /// Safety check through the live calibration (when present) or the
   /// bootstrap LooseClock, widened by the drift-allowance margin.
   [[nodiscard]] bool packet_safe(std::uint32_t i,
@@ -226,8 +196,6 @@ class TeslaPpReceiver {
     obs::CounterHandle admissions_shed;
     obs::CounterHandle crash_restarts;
     obs::CounterHandle mac_key_derivations;
-    obs::CounterHandle reveal_batches;
-    obs::CounterHandle batched_reveals;
     obs::HistogramHandle rx_announce_latency;
     obs::HistogramHandle rx_reveal_latency;
   };
@@ -240,7 +208,6 @@ class TeslaPpReceiver {
   sim::LooseClock clock_;
   ChainAuthenticator auth_;
   std::map<std::uint32_t, std::set<common::Bytes>> records_;
-  std::deque<wire::MessageReveal> pending_;  // enqueue() backlog
   TeslaPpStats stats_;
   ResyncController resync_;
   std::optional<SyncCalibration> calibration_;

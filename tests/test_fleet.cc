@@ -1,4 +1,4 @@
-// Tests for the fleet subsystem: relay topologies, scenario JSON,
+// Tests for the fleet subsystem: relay topologies, scenario validation,
 // receiver cohorts (statistical members + sentinel), and the end-to-end
 // FleetSim — including the headline guarantees that a fleet run is
 // bitwise identical at any thread count and that forged messages never
@@ -129,22 +129,11 @@ TEST(Topology, ValidateRejectsMalformedGraphs) {
   EXPECT_THROW(unreachable.validate(), std::invalid_argument);
 }
 
-TEST(Topology, KindNamesRoundTrip) {
-  for (const fleet::TopologyKind kind :
-       {fleet::TopologyKind::kTree, fleet::TopologyKind::kGrid,
-        fleet::TopologyKind::kGossip, fleet::TopologyKind::kFlood}) {
-    EXPECT_EQ(fleet::topology_kind_from_name(fleet::topology_kind_name(kind)),
-              kind);
-  }
-  EXPECT_THROW((void)fleet::topology_kind_from_name("mesh"),
-               std::invalid_argument);
-}
-
 // ------------------------------------------------------------- scenarios
 
 fleet::ScenarioSpec sample_spec() {
   fleet::ScenarioSpec spec;
-  spec.name = "roundtrip";
+  spec.name = "sample";
   spec.seed = 99;
   spec.kind = fleet::TopologyKind::kTree;
   spec.depth = 2;
@@ -161,53 +150,6 @@ fleet::ScenarioSpec sample_spec() {
   spec.hop.latency_us = 2 * sim::kMillisecond;
   spec.hop.jitter_us = 500;
   return spec;
-}
-
-TEST(Scenario, JsonRoundTrips) {
-  const fleet::ScenarioSpec spec = sample_spec();
-  const fleet::ScenarioSpec parsed = fleet::ScenarioSpec::parse(spec.to_json());
-  // Serialization is canonical, so round-trip equality of the JSON form
-  // implies field equality.
-  EXPECT_EQ(parsed.to_json(), spec.to_json());
-  EXPECT_EQ(parsed.name, "roundtrip");
-  EXPECT_EQ(parsed.kind, fleet::TopologyKind::kTree);
-  EXPECT_EQ(parsed.depth, 2u);
-  EXPECT_EQ(parsed.fanout, 3u);
-  EXPECT_EQ(parsed.members_per_cohort, 25u);
-  EXPECT_EQ(parsed.attackers, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_FALSE(parsed.relay_dedup);
-  EXPECT_DOUBLE_EQ(parsed.hop.duplicate_probability, 0.25);
-}
-
-TEST(Scenario, ParseRejectsBadInput) {
-  // Malformed documents.
-  EXPECT_THROW(fleet::ScenarioSpec::parse("{"), std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse("not json"), std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}} trailing"),
-               std::invalid_argument);
-  // Unknown keys never silently run the default scenario.
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, \"typo\": 1}"),
-               std::invalid_argument);
-  // Shape keys from the wrong kind are unknown too.
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\", \"depth\": 2}}"),
-               std::invalid_argument);
-  // Missing topology, bad kinds, bad values.
-  EXPECT_THROW(fleet::ScenarioSpec::parse("{\"seed\": 1}"),
-               std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"mesh\"}}"),
-               std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, "
-                   "\"members_per_cohort\": 0}"),
-               std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, "
-                   "\"forged_fraction\": 1.5}"),
-               std::invalid_argument);
 }
 
 TEST(Scenario, ValidateRejectsSinkAttacker) {
@@ -230,7 +172,7 @@ TEST(Scenario, IdAndTotals) {
   EXPECT_EQ(leaves_only.total_members(), 9u * 25u);
 }
 
-TEST(Scenario, GuardAndFaultsRoundTripWithChaosId) {
+TEST(Scenario, FaultPlanMarksChaosIdAndClearHorizon) {
   fleet::ScenarioSpec spec = sample_spec();
   spec.guard.capacity = 256;
   spec.guard.budget_mbps = 2.5;
@@ -238,26 +180,13 @@ TEST(Scenario, GuardAndFaultsRoundTripWithChaosId) {
   spec.faults.relay_crashes.push_back({1, 2, 1, 50 * sim::kMillisecond});
   spec.faults.partitions.push_back({0, 1, 2, 3});
   spec.faults.degraded.push_back({2, 0.5});
-  const fleet::ScenarioSpec parsed =
-      fleet::ScenarioSpec::parse(spec.to_json());
-  EXPECT_EQ(parsed.to_json(), spec.to_json());
-  EXPECT_EQ(parsed.guard.capacity, 256u);
-  EXPECT_DOUBLE_EQ(parsed.guard.budget_mbps, 2.5);
-  ASSERT_EQ(parsed.faults.relay_crashes.size(), 1u);
-  EXPECT_EQ(parsed.faults.relay_crashes[0].node, 1u);
-  EXPECT_EQ(parsed.faults.relay_crashes[0].reboot_skew_us,
-            50 * sim::kMillisecond);
-  ASSERT_EQ(parsed.faults.partitions.size(), 1u);
-  EXPECT_EQ(parsed.faults.partitions[0].until_interval, 3u);
-  ASSERT_EQ(parsed.faults.degraded.size(), 1u);
-  EXPECT_DOUBLE_EQ(parsed.faults.degraded[0].budget_mbps, 0.5);
+  EXPECT_NO_THROW(spec.validate());
   // Fault plans mark the scenario id so baselines never mix chaos and
   // clean runs under one key.
   EXPECT_EQ(spec.id(), "tree_d2f3_m25_p0.5_chaos");
-  // A faultless spec emits no faults block at all (canonical form).
-  EXPECT_EQ(sample_spec().to_json().find("\"faults\""), std::string::npos);
   // Crashes rejoin at 3, partition heals at 3 -> horizon is interval 3.
   EXPECT_EQ(spec.faults.last_clear_interval(), 3u);
+  EXPECT_EQ(sample_spec().faults.last_clear_interval(), 0u);
 }
 
 TEST(Scenario, ValidateRejectsBadGuardAndFaults) {
@@ -306,38 +235,60 @@ TEST(Scenario, ValidateRejectsBadGuardAndFaults) {
                   }).validate());
 }
 
-TEST(Scenario, ParseEnforcesResourceCeilings) {
-  // An untrusted spec must not be able to command an absurd allocation:
-  // validate() rejects it from the estimated node count alone, before
-  // any topology is built.
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"tree\", \"depth\": 60, "
-                   "\"fanout\": 2}}"),
+TEST(Scenario, ValidateEnforcesResourceCeilings) {
+  // A spec must not be able to command an absurd allocation: validate()
+  // rejects it from the estimated node count alone, before any topology
+  // is built.
+  const auto with = [](auto mutate) {
+    fleet::ScenarioSpec spec;  // default: a one-receiver flood
+    mutate(spec);
+    return spec;
+  };
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.kind = fleet::TopologyKind::kTree;
+                 s.depth = 60;
+                 s.fanout = 2;
+               }).validate(),
                std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\", "
-                   "\"receivers\": 100000000}}"),
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.receivers = 100000000;
+               }).validate(),
                std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, "
-                   "\"members_per_cohort\": 999999999999}"),
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.members_per_cohort = 1000000000000;
+               }).validate(),
                std::invalid_argument);
-  // Integers beyond 2^53 are not exactly representable in the JSON
-  // number model: rejected instead of silently rounded (or worse, UB on
-  // the double -> uint64 cast).
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, "
-                   "\"seed\": 99999999999999999999}"),
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.members_per_cohort = 0;
+               }).validate(),
                std::invalid_argument);
-  // Unknown keys inside the nested blocks are rejected too.
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, "
-                   "\"guard\": {\"capacity\": 64, \"typo\": 1}}"),
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.forged_fraction = 1.5;
+               }).validate(),
                std::invalid_argument);
-  EXPECT_THROW(fleet::ScenarioSpec::parse(
-                   "{\"topology\": {\"kind\": \"flood\"}, "
-                   "\"faults\": {\"relay_crashes\": [{\"node\": 1, "
-                   "\"typo\": 2}]}}"),
+  // Each ceiling holds at its limit and rejects one past it.
+  EXPECT_NO_THROW(with([](fleet::ScenarioSpec& s) {
+                    s.members_per_cohort = std::size_t{1} << 24;
+                    s.buffers = std::size_t{1} << 16;
+                    s.intervals = 1U << 20;
+                    s.guard.capacity = std::size_t{1} << 22;
+                  }).validate());
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.members_per_cohort = (std::size_t{1} << 24) + 1;
+               }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.buffers = (std::size_t{1} << 16) + 1;
+               }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.intervals = (1U << 20) + 1;
+               }).validate(),
+               std::invalid_argument);
+  // The next power of two: past the ceiling, not merely malformed.
+  EXPECT_THROW(with([](fleet::ScenarioSpec& s) {
+                 s.guard.capacity = std::size_t{1} << 23;
+               }).validate(),
                std::invalid_argument);
 }
 

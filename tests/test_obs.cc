@@ -556,24 +556,6 @@ TEST(TracerSpans, RecordAndSnapshotOldestFirst) {
   EXPECT_EQ(spans[2].tag, SpanTag::kAuthOk);
 }
 
-TEST(TracerSpans, BeginEndClosesIntoRing) {
-  Tracer tracer(8);
-  tracer.enable(true);
-  tracer.span_begin(make_span(5, 0, SpanKind::kRelayHop, 200, 0, 4));
-  EXPECT_EQ(tracer.open_spans(), 1u);
-  EXPECT_EQ(tracer.span_size(), 0u);
-  tracer.span_end(5, 650, SpanTag::kAuthOk);
-  EXPECT_EQ(tracer.open_spans(), 0u);
-  ASSERT_EQ(tracer.span_size(), 1u);
-  const auto spans = tracer.span_snapshot();
-  EXPECT_EQ(spans[0].t_begin, 200u);
-  EXPECT_EQ(spans[0].t_end, 650u);
-  EXPECT_EQ(spans[0].tag, SpanTag::kAuthOk);
-  // Unknown uid: ignored without effect.
-  tracer.span_end(999, 700);
-  EXPECT_EQ(tracer.span_size(), 1u);
-}
-
 TEST(TracerSpans, RingDropAccountingMatchesEventRing) {
   Tracer tracer(4);
   tracer.enable(true);

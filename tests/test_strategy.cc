@@ -195,64 +195,6 @@ TEST(Strategy, MabsRejectsInvalidConfigs) {
 
 // ---------------------------------------------------- scenario plumbing
 
-TEST(Strategy, StrategyBlockRoundTripsThroughJson) {
-  auto spec = tree_spec();
-  spec.strategy.adaptive.learning_rate = 0.4;
-  spec.strategy.sybil.enabled = true;
-  spec.strategy.sybil.cohort = 5;
-  spec.strategy.coop.enabled = true;
-  spec.strategy.coop.audit_fraction = 0.75;
-  spec.strategy.coop.poisoned = true;
-  const auto parsed = fleet::ScenarioSpec::parse(spec.to_json());
-  EXPECT_EQ(parsed.to_json(), spec.to_json());
-  EXPECT_TRUE(parsed.strategy.adaptive.enabled);
-  EXPECT_DOUBLE_EQ(parsed.strategy.adaptive.learning_rate, 0.4);
-  EXPECT_EQ(parsed.strategy.sybil.cohort, 5u);
-  EXPECT_TRUE(parsed.strategy.coop.poisoned);
-}
-
-TEST(Strategy, DisengagedStrategyBlockIsOmittedFromJson) {
-  fleet::ScenarioSpec plain;
-  EXPECT_EQ(plain.to_json().find("strategy"), std::string::npos);
-}
-
-// Satellite of this PR: strict-parse errors must name the full JSON key
-// path so a typo deep in the strategy block is diagnosable.
-TEST(Strategy, ParseErrorsNameTheFullStrategyKeyPath) {
-  auto spec = tree_spec();
-  auto json = spec.to_json();
-  const std::string needle = "\"learning_rate\": 0.25";
-  const auto at = json.find(needle);
-  ASSERT_NE(at, std::string::npos) << json;
-  json.replace(at, needle.size(), "\"learning_rate\": \"fast\"");
-  try {
-    (void)fleet::ScenarioSpec::parse(json);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("strategy.adaptive.learning_rate"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(Strategy, UnknownStrategyKeysAreRejectedWithTheirPath) {
-  auto spec = coop_spec(true, false);
-  spec.forged_fraction = 0.0;
-  auto json = spec.to_json();
-  const std::string needle = "\"audit_fraction\"";
-  const auto at = json.find(needle);
-  ASSERT_NE(at, std::string::npos) << json;
-  json.replace(at, needle.size(), "\"audit_fractino\"");
-  try {
-    (void)fleet::ScenarioSpec::parse(json);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("strategy.coop"), std::string::npos) << what;
-    EXPECT_NE(what.find("audit_fractino"), std::string::npos) << what;
-  }
-}
-
 TEST(Strategy, ValidateRejectsAdaptiveWithoutFlood) {
   auto spec = tree_spec();
   spec.forged_fraction = 0.0;

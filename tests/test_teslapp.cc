@@ -188,66 +188,5 @@ TEST(TeslaPp, RejectsEmptyLocalSecret) {
                std::invalid_argument);
 }
 
-// ------------------------------------------- batched reveal verification
-
-TEST(TeslaPpBatchReveal, DrainMatchesSerialReceive) {
-  const auto config = test_config();
-  TeslaPpSender sender(config, bytes_of("seed"));
-  auto serial = make_receiver(config, sender);
-  auto batched = make_receiver(config, sender);
-  std::vector<wire::MessageReveal> reveals;
-  for (std::uint32_t i = 1; i <= 6; ++i) {
-    const auto announce = sender.announce(i, bytes_of("m"));
-    serial.receive(announce, mid(i));
-    batched.receive(announce, mid(i));
-    reveals.push_back(sender.reveal(i));
-  }
-  std::size_t serial_ok = 0;
-  for (const auto& reveal : reveals) {
-    serial_ok += serial.receive(reveal, mid(7)).size();
-    batched.enqueue(reveal);
-  }
-  EXPECT_EQ(batched.pending_reveals(), 6u);
-  const auto batch_out = batched.drain_pending_batch(mid(7));
-  std::size_t batch_ok = 0;
-  for (const auto& released : batch_out) batch_ok += released.size();
-  EXPECT_EQ(batch_out.size(), 6u);
-  EXPECT_EQ(batch_ok, serial_ok);
-  EXPECT_EQ(batched.stats().authenticated, serial.stats().authenticated);
-  EXPECT_EQ(batched.stats().keys_rejected, serial.stats().keys_rejected);
-}
-
-TEST(TeslaPpBatchReveal, SameIntervalKeyDerivedOncePerDrain) {
-  const auto config = test_config();
-  TeslaPpSender sender(config, bytes_of("seed"));
-  auto receiver = make_receiver(config, sender);
-  receiver.receive(sender.announce(1, bytes_of("m")), mid(1));
-  const auto reveal = sender.reveal(1);
-  // Duplicate reveals of one interval in a single drain share the
-  // derived key; the duplicate finds no record left (outcome not
-  // cached), but costs no second derivation.
-  receiver.enqueue(reveal);
-  receiver.enqueue(reveal);
-  receiver.enqueue(reveal);
-  const auto out = receiver.drain_pending_batch(mid(2));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].size(), 1u);
-  EXPECT_TRUE(out[1].empty());
-  EXPECT_TRUE(out[2].empty());
-  EXPECT_EQ(receiver.stats().mac_key_derivations, 1u);
-}
-
-TEST(TeslaPpBatchReveal, CrashRestartDropsPendingBacklog) {
-  const auto config = test_config();
-  TeslaPpSender sender(config, bytes_of("seed"));
-  auto receiver = make_receiver(config, sender);
-  receiver.receive(sender.announce(1, bytes_of("m")), mid(1));
-  receiver.enqueue(sender.reveal(1));
-  EXPECT_EQ(receiver.pending_reveals(), 1u);
-  receiver.crash_restart(mid(1));
-  EXPECT_EQ(receiver.pending_reveals(), 0u);
-  EXPECT_TRUE(receiver.drain_pending_batch(mid(2)).empty());
-}
-
 }  // namespace
 }  // namespace dap::tesla
