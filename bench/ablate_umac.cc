@@ -41,7 +41,7 @@ int main() {
   common::Rng rng(7);
   const common::Bytes recv_key = rng.bytes(16);
   const common::Bytes authentic_mac = rng.bytes(10);
-  const common::Bytes expected = crypto::micro_mac(recv_key, authentic_mac, 1);
+  const auto expected = crypto::micro_mac(recv_key, authentic_mac, 1);
   int collisions = 0;
   const int trials = 200000;
   for (int i = 0; i < trials; ++i) {

@@ -84,7 +84,7 @@ int main() {
   // sending the authentic frame first each interval.
   wire::MacAnnounce probe;
   probe.sender = config.sender_id;
-  probe.mac = common::Bytes(10, 0);
+  probe.mac = dap::common::InlineBytes<32>(common::Bytes(10, 0));
   const double frame_bits =
       static_cast<double>(wire::wire_bits(wire::Packet{probe}));
   medium.set_rate_limit(config.sender_id, 5.0 * frame_bits,

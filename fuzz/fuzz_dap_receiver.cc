@@ -68,7 +68,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         dap::wire::MacAnnounce forged;
         forged.sender = config.sender_id;
         forged.interval = interval;
-        forged.mac = stream.bytes(config.mac_size);
+        forged.mac =
+            dap::common::InlineBytes<32>(stream.bytes(config.mac_size));
         receiver.receive(forged, now);
         break;
       }
@@ -84,7 +85,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         forged.sender = config.sender_id;
         forged.interval = interval;
         forged.message = stream.bytes(stream.u8() % 16);
-        forged.key = stream.bytes(config.key_size);
+        forged.key =
+            dap::common::InlineBytes<32>(stream.bytes(config.key_size));
         receiver.receive(forged, now);
         break;
       }

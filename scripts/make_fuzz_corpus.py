@@ -5,7 +5,8 @@ The wire-decode seeds mirror src/common/codec.h's little-endian format
 (u8 tag, u32 sender, then per-kind fields; blobs are u16-length-prefixed)
 so every packet kind is represented by a structurally valid encoding,
 plus a few malformed shapes (truncated, unknown tag, oversized length
-prefix) that exercise the rejection paths. The receiver-harness seeds
+prefix, a MAC or key blob one byte past the 32-byte field bound) that
+exercise the rejection paths. The receiver-harness seeds
 are op-streams for the ByteStream interpreters in fuzz_dap_receiver.cc /
 fuzz_teslapp_receiver.cc: announce/forge/reveal interleavings with time
 skips, reordered/duplicated deliveries, and pool-saturation floods.
@@ -107,6 +108,17 @@ WIRE_SEEDS = {
     "oversized_length_prefix": u8(2) + u32(1) + u32(9) + u16(0xFFFF) + b"xx",
     "empty": b"",
     "single_byte": u8(2),
+    # MAC and key fields decode into 32-byte inline buffers: a 32-byte
+    # blob is the longest accepted, a 33-byte one is rejected.
+    "mac_announce_mac32": mac_announce(mac=b"\x55" * 32),
+    "mac_announce_mac33": mac_announce(mac=b"\x55" * 33),
+    "framed_announce_mac33": framed(mac_announce(mac=b"\x55" * 33)),
+    "message_reveal_key32": message_reveal(key=b"\x66" * 32),
+    "message_reveal_key33": message_reveal(key=b"\x66" * 33),
+    "key_disclosure_key33": key_disclosure(key=b"\x77" * 33),
+    "tesla_mac32_key32": tesla_packet(mac=b"\xab" * 32,
+                                      disclosed_key=b"\xcd" * 32),
+    "tesla_key33": tesla_packet(disclosed_key=b"\xcd" * 33),
 }
 
 

@@ -280,7 +280,7 @@ ChaosReport run_chaos_soak(const ChaosConfig& config) {
         reveal.sender = sender;
         reveal.interval = i;
         reveal.message = forged_msg;
-        reveal.key = key;
+        reveal.key = common::InlineBytes<32>(key);
         medium.broadcast(wire::Packet{reveal});
       }
     });

@@ -74,7 +74,7 @@ RecoveryReport run_recovery_experiment(const RecoverySetup& setup) {
     for (std::size_t f = 0; f < setup.forged_cdms_per_interval; ++f) {
       wire::CdmPacket forged = authentic;  // replay the disclosed key
       forged.low_commitment = rng.bytes(config.key_size);
-      forged.mac = rng.bytes(config.mac_size);
+      forged.mac = common::InlineBytes<32>(rng.bytes(config.mac_size));
       if (config.edrp) forged.next_cdm_image = rng.bytes(32);
       cdm_flood.push_back(forged);
     }
@@ -94,7 +94,7 @@ RecoveryReport run_recovery_experiment(const RecoverySetup& setup) {
       ++report.data_sent;
       if (i == setup.measured_interval && j >= setup.disclosure_loss_from) {
         data.disclosed_interval = 0;
-        data.disclosed_key.clear();
+        data.disclosed_key = {};
       }
       if (i == setup.measured_interval &&
           j + config.low_disclosure_delay >= setup.disclosure_loss_from) {

@@ -36,41 +36,6 @@ void Writer::blob(ByteView data) {
   raw(data);
 }
 
-std::optional<std::uint8_t> Reader::u8() {
-  if (remaining() < 1) return std::nullopt;
-  return data_[pos_++];
-}
-
-std::optional<std::uint16_t> Reader::u16() {
-  if (remaining() < 2) return std::nullopt;
-  std::uint16_t v = static_cast<std::uint16_t>(
-      data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return v;
-}
-
-std::optional<std::uint32_t> Reader::u32() {
-  if (remaining() < 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::optional<std::uint64_t> Reader::u64() {
-  if (remaining() < 8) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
 std::optional<Bytes> Reader::raw(std::size_t n) {
   if (remaining() < n) return std::nullopt;
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -4,7 +4,10 @@
 // Writer appends fixed-width integers and length-prefixed blobs to a growing
 // buffer; Reader consumes them in order and reports truncation via
 // std::optional rather than exceptions, because truncated packets are an
-// expected runtime condition on a lossy channel.
+// expected runtime condition on a lossy channel. Reader's integer and view
+// reads are defined here so they inline into decoders: an out-of-line call
+// returns its std::optional through the stack, and reloading it costs a
+// store-forwarding stall per field.
 
 #include <cstdint>
 #include <optional>
@@ -35,14 +38,41 @@ class Reader {
  public:
   explicit Reader(ByteView data) noexcept : data_(data) {}
 
-  std::optional<std::uint8_t> u8();
-  std::optional<std::uint16_t> u16();
-  std::optional<std::uint32_t> u32();
-  std::optional<std::uint64_t> u64();
+  std::optional<std::uint8_t> u8() noexcept {
+    if (remaining() < 1) return std::nullopt;
+    return data_[pos_++];
+  }
+  std::optional<std::uint16_t> u16() noexcept {
+    if (remaining() < 2) return std::nullopt;
+    const auto v = static_cast<std::uint16_t>(byte(0) | byte(1) << 8);
+    pos_ += 2;
+    return v;
+  }
+  std::optional<std::uint32_t> u32() noexcept {
+    if (remaining() < 4) return std::nullopt;
+    const std::uint32_t v = le32(0);
+    pos_ += 4;
+    return v;
+  }
+  std::optional<std::uint64_t> u64() noexcept {
+    if (remaining() < 8) return std::nullopt;
+    const std::uint64_t v = le32(0) | std::uint64_t{le32(4)} << 32;
+    pos_ += 8;
+    return v;
+  }
   /// Exactly n raw bytes.
   std::optional<Bytes> raw(std::size_t n);
   /// u16 length-prefixed blob.
   std::optional<Bytes> blob();
+  /// The same blob as a view into the input (no copy); valid while the
+  /// input is.
+  std::optional<ByteView> blob_view() noexcept {
+    const auto len = u16();
+    if (!len || remaining() < *len) return std::nullopt;
+    const ByteView out = data_.subspan(pos_, *len);
+    pos_ += *len;
+    return out;
+  }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;
@@ -50,6 +80,14 @@ class Reader {
   [[nodiscard]] bool exhausted() const noexcept { return remaining() == 0; }
 
  private:
+  /// Byte `k` past the cursor, widened (caller checked remaining()).
+  [[nodiscard]] std::uint32_t byte(std::size_t k) const noexcept {
+    return data_[pos_ + k];
+  }
+  [[nodiscard]] std::uint32_t le32(std::size_t k) const noexcept {
+    return byte(k) | byte(k + 1) << 8 | byte(k + 2) << 16 | byte(k + 3) << 24;
+  }
+
   ByteView data_;
   std::size_t pos_ = 0;
 };

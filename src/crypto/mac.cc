@@ -6,48 +6,56 @@
 
 namespace dap::crypto {
 
-common::Bytes compute_mac(common::ByteView key, common::ByteView message,
-                          std::size_t size) {
+namespace {
+
+common::InlineBytes<32> truncate(const Digest& full, std::size_t size) {
+  return common::InlineBytes<32>(common::ByteView(full).first(size));
+}
+
+void check_size(std::size_t size) {
   if (size == 0 || size > kSha256DigestSize) {
     throw std::invalid_argument("compute_mac: size must be in [1, 32]");
   }
-  const Digest full = hmac_sha256(key, message);
-  return common::Bytes(full.begin(),
-                       full.begin() + static_cast<std::ptrdiff_t>(size));
 }
 
-common::Bytes micro_mac(common::ByteView recv_key, common::ByteView mac,
-                        std::size_t size) {
+}  // namespace
+
+common::InlineBytes<32> compute_mac(common::ByteView key,
+                                    common::ByteView message,
+                                    std::size_t size) {
+  check_size(size);
+  return truncate(hmac_sha256(key, message), size);
+}
+
+common::InlineBytes<32> micro_mac(common::ByteView recv_key,
+                                  common::ByteView mac, std::size_t size) {
   return compute_mac(recv_key, mac, size);
 }
 
 bool verify_mac(common::ByteView key, common::ByteView message,
                 common::ByteView tag) {
   if (tag.empty() || tag.size() > kSha256DigestSize) return false;
-  const common::Bytes expect = compute_mac(key, message, tag.size());
-  return common::constant_time_equal(expect, tag);
+  return common::constant_time_equal(compute_mac(key, message, tag.size()),
+                                     tag);
 }
 
-common::Bytes compute_mac(const HmacKey& key, common::ByteView message,
-                          std::size_t size) {
-  if (size == 0 || size > kSha256DigestSize) {
-    throw std::invalid_argument("compute_mac: size must be in [1, 32]");
-  }
-  const Digest full = key.mac(message);
-  return common::Bytes(full.begin(),
-                       full.begin() + static_cast<std::ptrdiff_t>(size));
+common::InlineBytes<32> compute_mac(const HmacKey& key,
+                                    common::ByteView message,
+                                    std::size_t size) {
+  check_size(size);
+  return truncate(key.mac(message), size);
 }
 
-common::Bytes micro_mac(const HmacKey& recv_key, common::ByteView mac,
-                        std::size_t size) {
+common::InlineBytes<32> micro_mac(const HmacKey& recv_key,
+                                  common::ByteView mac, std::size_t size) {
   return compute_mac(recv_key, mac, size);
 }
 
 bool verify_mac(const HmacKey& key, common::ByteView message,
                 common::ByteView tag) {
   if (tag.empty() || tag.size() > kSha256DigestSize) return false;
-  const common::Bytes expect = compute_mac(key, message, tag.size());
-  return common::constant_time_equal(expect, tag);
+  return common::constant_time_equal(compute_mac(key, message, tag.size()),
+                                     tag);
 }
 
 std::uint32_t micro_mac_word(const HmacKey& recv_key, common::ByteView mac,

@@ -24,14 +24,17 @@ inline constexpr std::size_t kIndexBits = 32;
 inline constexpr std::size_t kMessageBitsEval = 200;
 
 /// MAC_{key}(message) truncated to `size` bytes (default: the paper's
-/// 80-bit packet MAC). Throws std::invalid_argument for size 0 or > 32.
-common::Bytes compute_mac(common::ByteView key, common::ByteView message,
-                          std::size_t size = kMacSize);
+/// 80-bit packet MAC), held inline (no heap buffer). Throws
+/// std::invalid_argument for size 0 or > 32.
+common::InlineBytes<32> compute_mac(common::ByteView key,
+                                    common::ByteView message,
+                                    std::size_t size = kMacSize);
 
 /// Receiver-side re-MAC: μMAC = MAC_{recv_key}(mac), truncated to `size`
 /// bytes (default: the paper's 24-bit μMAC).
-common::Bytes micro_mac(common::ByteView recv_key, common::ByteView mac,
-                        std::size_t size = kMicroMacSize);
+common::InlineBytes<32> micro_mac(common::ByteView recv_key,
+                                  common::ByteView mac,
+                                  std::size_t size = kMicroMacSize);
 
 /// Constant-time verification of a (possibly truncated) tag.
 bool verify_mac(common::ByteView key, common::ByteView message,
@@ -40,10 +43,12 @@ bool verify_mac(common::ByteView key, common::ByteView message,
 /// Precomputed-key overloads: same tags, but the ipad/opad midstates are
 /// paid once per HmacKey instead of once per call. Use for keys applied
 /// to many messages (K_recv, per-interval MAC keys during a drain).
-common::Bytes compute_mac(const HmacKey& key, common::ByteView message,
-                          std::size_t size = kMacSize);
-common::Bytes micro_mac(const HmacKey& recv_key, common::ByteView mac,
-                        std::size_t size = kMicroMacSize);
+common::InlineBytes<32> compute_mac(const HmacKey& key,
+                                    common::ByteView message,
+                                    std::size_t size = kMacSize);
+common::InlineBytes<32> micro_mac(const HmacKey& recv_key,
+                                  common::ByteView mac,
+                                  std::size_t size = kMicroMacSize);
 bool verify_mac(const HmacKey& key, common::ByteView message,
                 common::ByteView tag);
 

@@ -72,7 +72,7 @@ wire::MessageReveal DapSender::reveal(std::uint32_t i, std::size_t k) const {
   p.sender = config_.sender_id;
   p.interval = i;
   p.message = it->second[k];
-  p.key = chain_.key(i);
+  p.key = common::InlineBytes<32>(chain_.key(i));
   return p;
 }
 
@@ -365,7 +365,7 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
       cached = &*local_key;
     }
   }
-  const common::Bytes expected_mac =
+  const common::InlineBytes<32> expected_mac =
       crypto::compute_mac(*cached, packet.message, config_.mac_size);
   const std::uint64_t expected = record_of(expected_mac, packet.interval);
 

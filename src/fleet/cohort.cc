@@ -224,7 +224,9 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   for (std::size_t w = 0; w < walk_index.size(); ++w) {
     const std::size_t p = walk_index[w];
     weak_verdicts[p] = walk_verdicts[w];
-    last_walks_.push_back(WalkResult{pending_[p].interval, pending_[p].key,
+    const common::InlineBytes<32>& key = pending_[p].key;
+    last_walks_.push_back(WalkResult{pending_[p].interval,
+                                     common::Bytes(key.begin(), key.end()),
                                      walk_verdicts[w]});
     if (hint_of[p] != nullptr && walk_verdicts[w]) {
       // The hint claimed invalid; the audit walk says valid: poisoned.
@@ -265,7 +267,7 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
                    .first;
     }
     plan.valid = true;
-    const common::Bytes expected_mac = crypto::compute_mac(
+    const common::InlineBytes<32> expected_mac = crypto::compute_mac(
         key_it->second, packet.message, config_.dap.mac_size);
     const auto round_it = rounds_.find(packet.interval);
     if (round_it == rounds_.end()) continue;

@@ -223,7 +223,7 @@ class ReceiverCohort {
   /// statistical member's reservoir over it.
   struct Round {
     /// Announce MACs in arrival order; slot values index this list + 1.
-    std::vector<common::Bytes> macs;
+    std::vector<common::InlineBytes<32>> macs;
     /// Flattened member slots: member mi owns [mi*m, mi*m + m), of
     /// which the first counts[mi] hold stored arrival indices into macs.
     std::vector<std::uint32_t> slots;

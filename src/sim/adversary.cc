@@ -8,8 +8,8 @@ namespace dap::sim {
 FloodingForger::FloodingForger(wire::NodeId victim_sender,
                                std::size_t mac_size, common::Rng rng)
     : victim_(victim_sender), mac_size_(mac_size), rng_(rng) {
-  if (mac_size_ == 0) {
-    throw std::invalid_argument("FloodingForger: mac_size must be > 0");
+  if (mac_size_ == 0 || mac_size_ > common::InlineBytes<32>::capacity()) {
+    throw std::invalid_argument("FloodingForger: mac_size must be in [1, 32]");
   }
 }
 
@@ -17,7 +17,7 @@ wire::MacAnnounce FloodingForger::forge(wire::IntervalIndex interval) {
   wire::MacAnnounce p;
   p.sender = victim_;
   p.interval = interval;
-  p.mac = rng_.bytes(mac_size_);
+  p.mac = common::InlineBytes<32>(rng_.bytes(mac_size_));
   ++forged_;
   return p;
 }
@@ -54,8 +54,8 @@ void ReplayAttacker::replay_all(Medium& medium) const {
 KeyGuessForger::KeyGuessForger(wire::NodeId victim_sender,
                                std::size_t key_size, common::Rng rng)
     : victim_(victim_sender), key_size_(key_size), rng_(rng) {
-  if (key_size_ == 0) {
-    throw std::invalid_argument("KeyGuessForger: key_size must be > 0");
+  if (key_size_ == 0 || key_size_ > common::InlineBytes<32>::capacity()) {
+    throw std::invalid_argument("KeyGuessForger: key_size must be in [1, 32]");
   }
 }
 
@@ -65,7 +65,7 @@ wire::MessageReveal KeyGuessForger::forge_reveal(wire::IntervalIndex interval,
   p.sender = victim_;
   p.interval = interval;
   p.message = common::Bytes(message.begin(), message.end());
-  p.key = rng_.bytes(key_size_);
+  p.key = common::InlineBytes<32>(rng_.bytes(key_size_));
   return p;
 }
 

@@ -59,7 +59,7 @@ SybilCoordinator::SybilCoordinator(const fleet::ScenarioSpec& spec,
         reveal.sender = 1;
         reveal.interval = i;
         reveal.message = common::bytes_of(payload);
-        reveal.key = chain_.key(i);
+        reveal.key = common::InlineBytes<32>(chain_.key(i));
         sim_->inject(node, reveal);
         ++reveals_;
       });

@@ -49,7 +49,7 @@ MultiLevelSender::MultiLevelSender(const MultiLevelConfig& config,
     }
     cdm.mac = crypto::compute_mac(chain_.high_mac_key(i), cdm.mac_payload(),
                                   config_.mac_size);
-    cdm.disclosed_high_key = chain_.high_key(i - 1);
+    cdm.disclosed_high_key = common::InlineBytes<32>(chain_.high_key(i - 1));
   }
 }
 
@@ -75,7 +75,7 @@ wire::TeslaPacket MultiLevelSender::make_data_packet(
   if (j > config_.low_disclosure_delay) {
     const std::uint32_t dj = j - config_.low_disclosure_delay;
     p.disclosed_interval = config_.global_index(i, dj);
-    p.disclosed_key = chain_.low_key(i, dj);
+    p.disclosed_key = common::InlineBytes<32>(chain_.low_key(i, dj));
   }
   return p;
 }

@@ -188,7 +188,7 @@ class MultiLevelReceiver {
   std::map<std::uint32_t, common::Bytes> expected_cdm_image_;  // EDRP
   struct PendingData {
     common::Bytes message;
-    common::Bytes mac;
+    common::InlineBytes<32> mac;
   };
   // Per global low-interval index, bounded by data_buffers each.
   std::map<std::uint32_t, ReservoirBuffer<PendingData>> pending_data_;

@@ -66,7 +66,7 @@ std::optional<wire::KeyDisclosure> MuTeslaSender::disclosure(
   wire::KeyDisclosure d;
   d.sender = config_.sender_id;
   d.interval = disclosed;
-  d.key = chain_.key(disclosed);
+  d.key = common::InlineBytes<32>(chain_.key(disclosed));
   return d;
 }
 

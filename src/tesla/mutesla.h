@@ -36,7 +36,7 @@ struct MuTeslaBootstrap {
   std::uint32_t start_interval = 1;
   std::uint64_t interval_duration_us = 0;
   common::Bytes commitment;
-  common::Bytes mac;  // MAC under the pairwise master key
+  common::InlineBytes<32> mac;  // MAC under the pairwise master key
 };
 
 class MuTeslaSender {
@@ -101,7 +101,7 @@ class MuTeslaReceiver {
   ChainAuthenticator auth_;
   struct Pending {
     common::Bytes message;
-    common::Bytes mac;
+    common::InlineBytes<32> mac;
   };
   std::multimap<std::uint32_t, Pending> pending_;
   TeslaReceiverStats stats_;

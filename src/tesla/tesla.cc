@@ -61,7 +61,7 @@ wire::TeslaPacket TeslaSender::make_packet(std::uint32_t i,
   p.mac = crypto::compute_mac(chain_.mac_key(i), message, config_.mac_size);
   if (i > config_.disclosure_delay) {
     p.disclosed_interval = i - config_.disclosure_delay;
-    p.disclosed_key = chain_.key(p.disclosed_interval);
+    p.disclosed_key = common::InlineBytes<32>(chain_.key(p.disclosed_interval));
   }
   return p;
 }

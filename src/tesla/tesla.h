@@ -117,7 +117,7 @@ class TeslaReceiver {
   ChainAuthenticator auth_;
   struct Pending {
     common::Bytes message;
-    common::Bytes mac;
+    common::InlineBytes<32> mac;
   };
   std::multimap<std::uint32_t, Pending> pending_;
   TeslaReceiverStats stats_;

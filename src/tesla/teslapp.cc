@@ -69,7 +69,7 @@ wire::MessageReveal TeslaPpSender::reveal(std::uint32_t i) const {
   p.sender = config_.sender_id;
   p.interval = i;
   p.message = it->second;
-  p.key = chain_.key(i);
+  p.key = common::InlineBytes<32>(chain_.key(i));
   return p;
 }
 
@@ -93,7 +93,6 @@ TeslaPpReceiver::Telemetry TeslaPpReceiver::make_telemetry() {
       reg.counter("teslapp.unmatched"),
       reg.counter("teslapp.admissions_shed"),
       reg.counter("teslapp.crash_restarts"),
-      reg.counter("teslapp.mac_key_derivations"),
       reg.histogram("teslapp.rx_announce_us"),
       reg.histogram("teslapp.rx_reveal_us"),
   };
@@ -129,11 +128,11 @@ common::Bytes TeslaPpReceiver::self_mac(std::uint32_t interval,
   common::Writer w;
   w.u32(interval);
   w.raw(mac);
-  common::Bytes out =
+  const common::InlineBytes<32> tag =
       crypto::compute_mac(local_secret_, w.data(), config_.self_mac_size);
-  DAP_ENSURE(out.size() == config_.self_mac_size,
+  DAP_ENSURE(tag.size() == config_.self_mac_size,
              "self_mac: record must have the configured re-MAC size");
-  return out;
+  return common::Bytes(tag.begin(), tag.end());
 }
 
 bool TeslaPpReceiver::packet_safe(std::uint32_t i,
@@ -237,9 +236,7 @@ std::vector<AuthenticatedMessage> TeslaPpReceiver::receive(
     return {};
   }
   const common::Bytes mac_key = *auth_.mac_key(packet.interval);
-  ++stats_.mac_key_derivations;
-  reg.add(telemetry_.mac_key_derivations);
-  const common::Bytes expected_mac =
+  const common::InlineBytes<32> expected_mac =
       crypto::compute_mac(mac_key, packet.message, config_.mac_size);
   const common::Bytes expected_record =
       self_mac(packet.interval, expected_mac);

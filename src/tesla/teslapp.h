@@ -122,7 +122,6 @@ struct TeslaPpStats {
   std::uint64_t unmatched = 0;  // reveal without a matching stored record
   std::uint64_t admissions_shed = 0;  // dropped at the record pool cap
   std::uint64_t crash_restarts = 0;
-  std::uint64_t mac_key_derivations = 0;  // F'(K_i) computations
 };
 
 class TeslaPpReceiver {
@@ -195,7 +194,6 @@ class TeslaPpReceiver {
     obs::CounterHandle unmatched;
     obs::CounterHandle admissions_shed;
     obs::CounterHandle crash_restarts;
-    obs::CounterHandle mac_key_derivations;
     obs::HistogramHandle rx_announce_latency;
     obs::HistogramHandle rx_reveal_latency;
   };

@@ -28,7 +28,7 @@ struct SyncRequest {
 struct SyncResponse {
   std::uint64_t nonce = 0;
   sim::SimTime sender_time = 0;  // sender's clock when it built the reply
-  common::Bytes mac;             // MAC over (nonce | sender_time)
+  common::InlineBytes<32> mac;   // MAC over (nonce | sender_time)
 };
 
 /// The result of a completed handshake.

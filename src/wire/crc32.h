@@ -12,6 +12,16 @@
 
 namespace dap::wire {
 
+/// Slicing-by-8: eight table lookups per 8-byte step, then a bytewise
+/// tail. Same value as crc32_bytewise on every input.
 std::uint32_t crc32(common::ByteView data) noexcept;
+
+namespace detail {
+
+/// One table lookup per byte: the reference the sliced loop is tested
+/// against.
+std::uint32_t crc32_bytewise(common::ByteView data) noexcept;
+
+}  // namespace detail
 
 }  // namespace dap::wire

@@ -19,8 +19,79 @@ enum class Tag : std::uint8_t {
   kBootstrap = 6,
 };
 
-std::size_t blob_bits(const common::Bytes& b) noexcept {
+std::size_t blob_bits(common::ByteView b) noexcept {
   return 16 + b.size() * 8;  // u16 length prefix + payload
+}
+
+// decode() field readers: each fills `out` and reports success.
+bool read(common::Reader& r, std::uint32_t& out) noexcept {
+  const auto v = r.u32();
+  if (v) out = *v;
+  return v.has_value();
+}
+
+bool read(common::Reader& r, std::uint64_t& out) noexcept {
+  const auto v = r.u64();
+  if (v) out = *v;
+  return v.has_value();
+}
+
+bool read(common::Reader& r, common::Bytes& out) {
+  const auto view = r.blob_view();
+  if (view) out.assign(view->begin(), view->end());
+  return view.has_value();
+}
+
+/// A MAC or key field: a blob of at most 32 bytes, copied in place.
+bool read(common::Reader& r, common::InlineBytes<32>& out) noexcept {
+  const auto view = r.blob_view();
+  if (!view || view->size() > common::InlineBytes<32>::capacity()) {
+    return false;
+  }
+  out.assign(*view);
+  return true;
+}
+
+// Each kind's fields after the tag and sender, in wire order.
+bool read_fields(common::Reader& r, TeslaPacket& p) {
+  return read(r, p.interval) && read(r, p.message) && read(r, p.mac) &&
+         read(r, p.disclosed_interval) && read(r, p.disclosed_key);
+}
+
+bool read_fields(common::Reader& r, MacAnnounce& p) noexcept {
+  return read(r, p.interval) && read(r, p.mac);
+}
+
+bool read_fields(common::Reader& r, MessageReveal& p) {
+  return read(r, p.interval) && read(r, p.message) && read(r, p.key);
+}
+
+bool read_fields(common::Reader& r, KeyDisclosure& p) noexcept {
+  return read(r, p.interval) && read(r, p.key);
+}
+
+bool read_fields(common::Reader& r, CdmPacket& p) {
+  return read(r, p.high_interval) && read(r, p.low_commitment) &&
+         read(r, p.next_cdm_image) && read(r, p.mac) &&
+         read(r, p.disclosed_high_key);
+}
+
+bool read_fields(common::Reader& r, BootstrapPacket& p) {
+  return read(r, p.start_interval) && read(r, p.interval_duration_us) &&
+         read(r, p.commitment) && read(r, p.signature) &&
+         read(r, p.signer_public_key);
+}
+
+/// Decodes the rest of a T straight into the returned packet (one
+/// object, returned by NRVO), so each MAC or key is copied once, from
+/// the input; trailing bytes reject the packet. The packet starts as the
+/// aggregate T{sender}: value-initializing a T instead makes GCC zero
+/// the whole optional<Packet> first.
+template <class T>
+std::optional<Packet> decode_as(common::Reader& r, NodeId sender) {
+  std::optional<Packet> out(std::in_place, std::in_place_type<T>, sender);
+  if (!read_fields(r, *std::get_if<T>(&*out)) || !r.exhausted()) out.reset();
+  return out;
 }
 
 }  // namespace
@@ -131,100 +202,21 @@ std::optional<Packet> decode(common::ByteView data) {
               "decode: null view with nonzero length");
   common::Reader r(data);
   const auto tag = r.u8();
-  if (!tag) return std::nullopt;
   const auto sender = r.u32();
-  if (!sender) return std::nullopt;
-
+  if (!tag || !sender) return std::nullopt;
   switch (static_cast<Tag>(*tag)) {
-    case Tag::kTesla: {
-      TeslaPacket p;
-      p.sender = *sender;
-      const auto interval = r.u32();
-      auto message = r.blob();
-      auto mac = r.blob();
-      const auto disclosed_interval = r.u32();
-      auto key = r.blob();
-      if (!interval || !message || !mac || !disclosed_interval || !key ||
-          !r.exhausted()) {
-        return std::nullopt;
-      }
-      p.interval = *interval;
-      p.message = std::move(*message);
-      p.mac = std::move(*mac);
-      p.disclosed_interval = *disclosed_interval;
-      p.disclosed_key = std::move(*key);
-      return Packet{std::move(p)};
-    }
-    case Tag::kMacAnnounce: {
-      MacAnnounce p;
-      p.sender = *sender;
-      const auto interval = r.u32();
-      auto mac = r.blob();
-      if (!interval || !mac || !r.exhausted()) return std::nullopt;
-      p.interval = *interval;
-      p.mac = std::move(*mac);
-      return Packet{std::move(p)};
-    }
-    case Tag::kMessageReveal: {
-      MessageReveal p;
-      p.sender = *sender;
-      const auto interval = r.u32();
-      auto message = r.blob();
-      auto key = r.blob();
-      if (!interval || !message || !key || !r.exhausted()) return std::nullopt;
-      p.interval = *interval;
-      p.message = std::move(*message);
-      p.key = std::move(*key);
-      return Packet{std::move(p)};
-    }
-    case Tag::kKeyDisclosure: {
-      KeyDisclosure p;
-      p.sender = *sender;
-      const auto interval = r.u32();
-      auto key = r.blob();
-      if (!interval || !key || !r.exhausted()) return std::nullopt;
-      p.interval = *interval;
-      p.key = std::move(*key);
-      return Packet{std::move(p)};
-    }
-    case Tag::kCdm: {
-      CdmPacket p;
-      p.sender = *sender;
-      const auto high = r.u32();
-      auto low_commitment = r.blob();
-      auto image = r.blob();
-      auto mac = r.blob();
-      auto disclosed = r.blob();
-      if (!high || !low_commitment || !image || !mac || !disclosed ||
-          !r.exhausted()) {
-        return std::nullopt;
-      }
-      p.high_interval = *high;
-      p.low_commitment = std::move(*low_commitment);
-      p.next_cdm_image = std::move(*image);
-      p.mac = std::move(*mac);
-      p.disclosed_high_key = std::move(*disclosed);
-      return Packet{std::move(p)};
-    }
-    case Tag::kBootstrap: {
-      BootstrapPacket p;
-      p.sender = *sender;
-      const auto start = r.u32();
-      const auto duration = r.u64();
-      auto commitment = r.blob();
-      auto signature = r.blob();
-      auto pk = r.blob();
-      if (!start || !duration || !commitment || !signature || !pk ||
-          !r.exhausted()) {
-        return std::nullopt;
-      }
-      p.start_interval = *start;
-      p.interval_duration_us = *duration;
-      p.commitment = std::move(*commitment);
-      p.signature = std::move(*signature);
-      p.signer_public_key = std::move(*pk);
-      return Packet{std::move(p)};
-    }
+    case Tag::kTesla:
+      return decode_as<TeslaPacket>(r, *sender);
+    case Tag::kMacAnnounce:
+      return decode_as<MacAnnounce>(r, *sender);
+    case Tag::kMessageReveal:
+      return decode_as<MessageReveal>(r, *sender);
+    case Tag::kKeyDisclosure:
+      return decode_as<KeyDisclosure>(r, *sender);
+    case Tag::kCdm:
+      return decode_as<CdmPacket>(r, *sender);
+    case Tag::kBootstrap:
+      return decode_as<BootstrapPacket>(r, *sender);
   }
   return std::nullopt;
 }

@@ -6,6 +6,12 @@
 // std::variant so protocol code pattern-matches instead of down-casting.
 // Each kind knows its on-wire bit size (used by the bandwidth model and
 // by the memory-cost experiment E6).
+//
+// MAC and chain-key fields are `common::InlineBytes<32>`: the paper fixes
+// their widths (an 80-bit MAC, keys of at most one SHA-256 digest), so a
+// decoded announce or reveal carries them in place instead of in a heap
+// buffer. decode() rejects a MAC or key blob longer than 32 bytes;
+// messages, signatures and commitments stay variable-length `Bytes`.
 
 #include <cstdint>
 #include <optional>
@@ -24,9 +30,9 @@ struct TeslaPacket {
   NodeId sender = 0;
   IntervalIndex interval = 0;        // interval whose key MACed this packet
   common::Bytes message;
-  common::Bytes mac;                 // MAC_{K'_interval}(message)
+  common::InlineBytes<32> mac;       // MAC_{K'_interval}(message)
   IntervalIndex disclosed_interval = 0;
-  common::Bytes disclosed_key;       // may be empty (no disclosure piggybacked)
+  common::InlineBytes<32> disclosed_key;  // empty: no disclosure piggybacked
 
   [[nodiscard]] std::size_t wire_bits() const noexcept;
   bool operator==(const TeslaPacket&) const = default;
@@ -37,7 +43,7 @@ struct TeslaPacket {
 struct MacAnnounce {
   NodeId sender = 0;
   IntervalIndex interval = 0;
-  common::Bytes mac;  // MAC_{K_interval}(M_interval), 80 bits in the paper
+  common::InlineBytes<32> mac;  // MAC_{K_interval}(M_interval), 80 bits
 
   [[nodiscard]] std::size_t wire_bits() const noexcept;
   bool operator==(const MacAnnounce&) const = default;
@@ -48,7 +54,7 @@ struct MessageReveal {
   NodeId sender = 0;
   IntervalIndex interval = 0;
   common::Bytes message;
-  common::Bytes key;  // K_interval, disclosed
+  common::InlineBytes<32> key;  // K_interval, disclosed
 
   [[nodiscard]] std::size_t wire_bits() const noexcept;
   bool operator==(const MessageReveal&) const = default;
@@ -58,7 +64,7 @@ struct MessageReveal {
 struct KeyDisclosure {
   NodeId sender = 0;
   IntervalIndex interval = 0;  // interval the key belongs to
-  common::Bytes key;
+  common::InlineBytes<32> key;
 
   [[nodiscard]] std::size_t wire_bits() const noexcept;
   bool operator==(const KeyDisclosure&) const = default;
@@ -73,8 +79,8 @@ struct CdmPacket {
   IntervalIndex high_interval = 0;
   common::Bytes low_commitment;      // commitment of a future low-level chain
   common::Bytes next_cdm_image;      // EDRP: H(CDM_{i+1}); empty in original
-  common::Bytes mac;                 // MAC under high-level key K_i
-  common::Bytes disclosed_high_key;  // K_{i-1}
+  common::InlineBytes<32> mac;                 // MAC under high key K_i
+  common::InlineBytes<32> disclosed_high_key;  // K_{i-1}
 
   /// The bytes covered by `mac` (everything except mac and disclosed key).
   [[nodiscard]] common::Bytes mac_payload() const;
@@ -106,7 +112,8 @@ std::size_t wire_bits(const Packet& packet) noexcept;
 /// Serializes with a leading type tag. Never fails for well-formed packets.
 common::Bytes encode(const Packet& packet);
 
-/// Parses; nullopt for truncated/garbled/unknown-tag input.
+/// Parses; nullopt for truncated/garbled/unknown-tag input and for a MAC
+/// or key blob longer than 32 bytes.
 std::optional<Packet> decode(common::ByteView data);
 
 /// The sender id of any packet kind.

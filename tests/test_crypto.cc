@@ -344,7 +344,7 @@ TEST(Mac, SizesMatchPaper) {
 TEST(Mac, ComputeAndVerify) {
   const Bytes key = bytes_of("key");
   const Bytes msg = bytes_of("message");
-  const Bytes tag = compute_mac(key, msg);
+  const auto tag = compute_mac(key, msg);
   EXPECT_EQ(tag.size(), kMacSize);
   EXPECT_TRUE(verify_mac(key, msg, tag));
   EXPECT_FALSE(verify_mac(key, bytes_of("other"), tag));
@@ -357,7 +357,7 @@ TEST(Mac, VerifyRejectsEmptyAndOversizedTags) {
 }
 
 TEST(Mac, MicroMacIsDeterministicPerReceiver) {
-  const Bytes mac = compute_mac(bytes_of("k"), bytes_of("m"));
+  const auto mac = compute_mac(bytes_of("k"), bytes_of("m"));
   const Bytes recv_a = bytes_of("receiver-a");
   const Bytes recv_b = bytes_of("receiver-b");
   EXPECT_EQ(micro_mac(recv_a, mac), micro_mac(recv_a, mac));

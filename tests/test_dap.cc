@@ -60,8 +60,8 @@ TEST(DapSender, RevealBeforeAnnounceThrows) {
 
 TEST(DapSender, AnnounceBoundsChecked) {
   DapSender sender(test_config(), bytes_of("seed"));
-  EXPECT_THROW(sender.announce(0, bytes_of("m")), std::out_of_range);
-  EXPECT_THROW(sender.announce(33, bytes_of("m")), std::out_of_range);
+  EXPECT_THROW((void)sender.announce(0, bytes_of("m")), std::out_of_range);
+  EXPECT_THROW((void)sender.announce(33, bytes_of("m")), std::out_of_range);
 }
 
 TEST(DapSender, AnnouncementOmitsMessage) {
@@ -117,7 +117,7 @@ TEST(DapReceiver, WeakAuthRejectsForgedKey) {
   auto receiver = make_receiver(config, sender);
   receiver.receive(sender.announce(1, bytes_of("m")), mid(1));
   auto reveal = sender.reveal(1);
-  reveal.key = Bytes(config.key_size, 0x42);
+  reveal.key = common::InlineBytes<32>(Bytes(config.key_size, 0x42));
   EXPECT_FALSE(receiver.receive(reveal, mid(2)).has_value());
   EXPECT_EQ(receiver.stats().weak_auth_failures, 1u);
 }

@@ -186,7 +186,7 @@ TEST(MultiLevelReceiver, EdrpFiltersForgedCdmInstantly) {
   wire::CdmPacket forged = sender.cdm(3);
   Rng rng(5);
   forged.low_commitment = rng.bytes(10);
-  forged.mac = rng.bytes(10);
+  forged.mac = common::InlineBytes<32>(rng.bytes(10));
   const auto events = receiver.receive(forged, cdm_time(config, 3));
   EXPECT_TRUE(events.cdms.empty());
   EXPECT_EQ(receiver.stats().cdm_forged_dropped, 1u);
@@ -206,7 +206,7 @@ TEST(MultiLevelReceiver, FloodedCdmsFilteredAtKeyDisclosure) {
   (void)receiver.receive(sender.cdm(1), cdm_time(config, 1));
   for (int f = 0; f < 2; ++f) {
     wire::CdmPacket forged = sender.cdm(1);
-    forged.mac = rng.bytes(10);
+    forged.mac = common::InlineBytes<32>(rng.bytes(10));
     forged.low_commitment = rng.bytes(10);
     (void)receiver.receive(forged, cdm_time(config, 1));
   }
@@ -240,7 +240,7 @@ TEST(MultiLevelReceiver, OriginalRecoversLowChainViaNextHighKey) {
   // Data packet (2, 3) with its disclosure stripped.
   auto data = sender.make_data_packet(2, 3, bytes_of("lost-keys"));
   data.disclosed_interval = 0;
-  data.disclosed_key.clear();
+  data.disclosed_key = {};
   auto events = receiver.receive(data, data_time(config, 2, 3));
   EXPECT_TRUE(events.messages.empty());
 
@@ -267,7 +267,7 @@ TEST(MultiLevelReceiver, EftpRecoversOneIntervalSooner) {
   (void)receiver.receive(sender.cdm(2), cdm_time(config, 2));
   auto data = sender.make_data_packet(2, 3, bytes_of("lost-keys"));
   data.disclosed_interval = 0;
-  data.disclosed_key.clear();
+  data.disclosed_key = {};
   (void)receiver.receive(data, data_time(config, 2, 3));
 
   const auto events = receiver.receive(sender.cdm(3), cdm_time(config, 3));
@@ -394,7 +394,7 @@ TEST(MultiLevelReceiver, DataFloodCannotExhaustMemory) {
     forged.sender = config.sender_id;
     forged.interval = config.global_index(1, 3);
     forged.message = rng.bytes(32);
-    forged.mac = rng.bytes(10);
+    forged.mac = common::InlineBytes<32>(rng.bytes(10));
     (void)receiver.receive(forged, data_time(config, 1, 3));
   }
   // The authentic packet also arrives; with 4 slots over 101 copies it

@@ -66,7 +66,7 @@ TEST(MultiSender, UnknownSenderDropped) {
   wire::MacAnnounce stray;
   stray.sender = 99;
   stray.interval = 1;
-  stray.mac = Bytes(10, 0x42);
+  stray.mac = common::InlineBytes<32>(Bytes(10, 0x42));
   receiver.receive(stray, mid(1));
   wire::MessageReveal stray_reveal;
   stray_reveal.sender = 99;

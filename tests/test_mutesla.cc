@@ -105,7 +105,7 @@ TEST(MuTeslaReceiver, ForgedPacketRejectedAtDisclosure) {
   forged.sender = config.sender_id;
   forged.interval = 1;
   forged.message = bytes_of("evil");
-  forged.mac = Bytes(10, 0x11);
+  forged.mac = common::InlineBytes<32>(Bytes(10, 0x11));
   (void)receiver.receive(forged, mid(1));
   const auto released = receiver.receive(*sender.disclosure(3), mid(3));
   EXPECT_TRUE(released.empty());
@@ -130,7 +130,7 @@ TEST(MuTeslaReceiver, ForgedDisclosureRejected) {
   wire::KeyDisclosure forged;
   forged.sender = config.sender_id;
   forged.interval = 1;
-  forged.key = Bytes(10, 0x22);
+  forged.key = common::InlineBytes<32>(Bytes(10, 0x22));
   (void)receiver.receive(forged, mid(3));
   EXPECT_EQ(receiver.stats().keys_rejected, 1u);
   EXPECT_EQ(receiver.latest_key_index(), 0u);

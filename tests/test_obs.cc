@@ -26,6 +26,7 @@
 #include "obs/scoped_timer.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
+#include "wire/frame.h"
 
 // ------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary bumps
@@ -196,6 +197,45 @@ TEST(AllocationFree, DapAnnouncePathAfterRoundsFirstOffer) {
   EXPECT_EQ(stats.records_offered, 1001u);
   EXPECT_GT(stats.records_stored, config.buffers);  // kept offers ...
   EXPECT_LT(stats.records_stored, 100u);            // ... and discarded
+  EXPECT_EQ(receiver.buffered_records(2), config.buffers);
+}
+
+TEST(AllocationFree, AnnounceFrameDeframeAndReceive) {
+  // The flood ingress path end to end: a framed 25-byte announce is
+  // CRC-checked, decoded into a packet whose MAC lives inline, offered to
+  // the receiver and destroyed. Once the round's buffer exists, none of
+  // it allocates, for a kept copy or a discarded one.
+  protocol::DapConfig config;
+  config.chain_length = 8;
+  protocol::DapSender sender(config, common::bytes_of("seed"));
+  protocol::DapReceiver receiver(config, sender.chain().commitment(),
+                                 common::bytes_of("k-recv"),
+                                 sim::LooseClock(0, 0), common::Rng(5));
+  const wire::MacAnnounce authentic =
+      sender.announce(2, common::bytes_of("reading"));
+  wire::MacAnnounce forged = authentic;
+  forged.mac[0] ^= 0xff;
+  const common::Bytes frames[] = {wire::frame(wire::Packet{forged}),
+                                  wire::frame(wire::Packet{authentic})};
+  ASSERT_EQ(frames[1].size(), 25u);
+  const sim::SimTime now =
+      config.schedule.interval_start(2) + config.schedule.duration() / 4;
+  receiver.receive(authentic, now);  // creates the round's buffer
+
+  std::uint64_t received = 0;
+  const std::uint64_t before = g_allocations.load();
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const std::optional<wire::Packet> packet = wire::deframe(frames[i % 2]);
+    if (!packet.has_value()) continue;
+    if (const auto* announce = std::get_if<wire::MacAnnounce>(&*packet)) {
+      receiver.receive(*announce, now);
+      ++received;
+    }
+  }
+  const std::uint64_t after = g_allocations.load();
+  EXPECT_EQ(before, after) << "announce ingress allocated";
+  EXPECT_EQ(received, 1000u);
+  EXPECT_EQ(receiver.stats().records_offered, 1001u);
   EXPECT_EQ(receiver.buffered_records(2), config.buffers);
 }
 

@@ -35,16 +35,16 @@ wire::Packet random_packet(Rng& rng) {
       p.sender = static_cast<wire::NodeId>(rng.next_u64());
       p.interval = static_cast<std::uint32_t>(rng.next_u64());
       p.message = random_blob(rng, 300);
-      p.mac = random_blob(rng, 32);
+      p.mac = common::InlineBytes<32>(random_blob(rng, 32));
       p.disclosed_interval = static_cast<std::uint32_t>(rng.next_u64());
-      p.disclosed_key = random_blob(rng, 32);
+      p.disclosed_key = common::InlineBytes<32>(random_blob(rng, 32));
       return p;
     }
     case 1: {
       wire::MacAnnounce p;
       p.sender = static_cast<wire::NodeId>(rng.next_u64());
       p.interval = static_cast<std::uint32_t>(rng.next_u64());
-      p.mac = random_blob(rng, 32);
+      p.mac = common::InlineBytes<32>(random_blob(rng, 32));
       return p;
     }
     case 2: {
@@ -52,14 +52,14 @@ wire::Packet random_packet(Rng& rng) {
       p.sender = static_cast<wire::NodeId>(rng.next_u64());
       p.interval = static_cast<std::uint32_t>(rng.next_u64());
       p.message = random_blob(rng, 300);
-      p.key = random_blob(rng, 32);
+      p.key = common::InlineBytes<32>(random_blob(rng, 32));
       return p;
     }
     case 3: {
       wire::KeyDisclosure p;
       p.sender = static_cast<wire::NodeId>(rng.next_u64());
       p.interval = static_cast<std::uint32_t>(rng.next_u64());
-      p.key = random_blob(rng, 32);
+      p.key = common::InlineBytes<32>(random_blob(rng, 32));
       return p;
     }
     case 4: {
@@ -68,8 +68,8 @@ wire::Packet random_packet(Rng& rng) {
       p.high_interval = static_cast<std::uint32_t>(rng.next_u64());
       p.low_commitment = random_blob(rng, 32);
       p.next_cdm_image = random_blob(rng, 32);
-      p.mac = random_blob(rng, 32);
-      p.disclosed_high_key = random_blob(rng, 32);
+      p.mac = common::InlineBytes<32>(random_blob(rng, 32));
+      p.disclosed_high_key = common::InlineBytes<32>(random_blob(rng, 32));
       return p;
     }
     default: {

@@ -299,7 +299,7 @@ wire::MacAnnounce make_announce(wire::NodeId sender, std::uint32_t interval) {
   wire::MacAnnounce p;
   p.sender = sender;
   p.interval = interval;
-  p.mac = Bytes(10, 0x42);
+  p.mac = common::InlineBytes<32>(Bytes(10, 0x42));
   return p;
 }
 
@@ -591,7 +591,7 @@ TEST(Medium, RateLimitDropsExcessFrames) {
   wire::MacAnnounce p;
   p.sender = 5;
   p.interval = 1;
-  p.mac = common::Bytes(10, 1);
+  p.mac = common::InlineBytes<32>(common::Bytes(10, 1));
   const auto bits = static_cast<double>(wire::wire_bits(wire::Packet{p}));
   // Allow exactly 3 frames of burst, negligible refill.
   medium.set_rate_limit(5, 1.0, bits * 3);
@@ -617,7 +617,7 @@ TEST(Medium, RateLimitEnforcesBandwidthFraction) {
   wire::MacAnnounce legit;
   legit.sender = 1;
   legit.interval = 1;
-  legit.mac = common::Bytes(10, 1);
+  legit.mac = common::InlineBytes<32>(common::Bytes(10, 1));
   wire::MacAnnounce forged = legit;
   forged.sender = 2;
   const double bits = static_cast<double>(wire::wire_bits(wire::Packet{legit}));

@@ -408,7 +408,7 @@ TEST(TeslaReceiver, ForgedDisclosureDoesNotAdvanceAnchor) {
   TeslaReceiver receiver(config, sender.chain().commitment(),
                          sim::LooseClock(0, 0));
   auto packet = sender.make_packet(4, bytes_of("m"));
-  packet.disclosed_key = Bytes(10, 0x13);  // junk key
+  packet.disclosed_key = common::InlineBytes<32>(Bytes(10, 0x13));  // junk key
   (void)receiver.receive(packet, mid(4));
   EXPECT_EQ(receiver.latest_key_index(), 0u);
   EXPECT_EQ(receiver.stats().keys_rejected, 1u);

@@ -133,7 +133,7 @@ TEST(TeslaPp, ForgedKeyInRevealRejected) {
   auto receiver = make_receiver(config, sender);
   receiver.receive(sender.announce(1, bytes_of("m")), mid(1));
   auto reveal = sender.reveal(1);
-  reveal.key = Bytes(10, 0x5a);
+  reveal.key = common::InlineBytes<32>(Bytes(10, 0x5a));
   const auto released = receiver.receive(reveal, mid(2));
   EXPECT_TRUE(released.empty());
   EXPECT_EQ(receiver.stats().keys_rejected, 1u);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "wire/crc32.h"
 #include "wire/frame.h"
@@ -23,6 +24,21 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(bytes_of("a")), 0xe8b7be43u);
 }
 
+TEST(Crc32, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  // The sliced loop takes 8- and 4-byte steps and a bytewise tail; every
+  // length 0..300 at every start offset 0..7 exercises each split.
+  EXPECT_EQ(detail::crc32_bytewise(bytes_of("123456789")), 0xcbf43926u);
+  common::Rng rng(26);
+  const Bytes data = rng.bytes(300 + 7);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const common::ByteView view(data.data() + offset, len);
+      ASSERT_EQ(crc32(view), detail::crc32_bytewise(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(Crc32, DetectsSingleBitFlip) {
   Bytes data = bytes_of("some payload data");
   const std::uint32_t original = crc32(data);
@@ -37,9 +53,9 @@ TeslaPacket sample_tesla() {
   p.sender = 7;
   p.interval = 42;
   p.message = bytes_of("hello sensors");
-  p.mac = Bytes(10, 0xab);
+  p.mac = common::InlineBytes<32>(Bytes(10, 0xab));
   p.disclosed_interval = 40;
-  p.disclosed_key = Bytes(10, 0xcd);
+  p.disclosed_key = common::InlineBytes<32>(Bytes(10, 0xcd));
   return p;
 }
 
@@ -54,7 +70,7 @@ TEST(Packet, MacAnnounceRoundTrip) {
   MacAnnounce p;
   p.sender = 3;
   p.interval = 9;
-  p.mac = Bytes(10, 0x55);
+  p.mac = common::InlineBytes<32>(Bytes(10, 0x55));
   const auto decoded = decode(encode(Packet{p}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<MacAnnounce>(*decoded), p);
@@ -65,7 +81,7 @@ TEST(Packet, MessageRevealRoundTrip) {
   p.sender = 3;
   p.interval = 9;
   p.message = bytes_of("reading=42");
-  p.key = Bytes(10, 0x66);
+  p.key = common::InlineBytes<32>(Bytes(10, 0x66));
   const auto decoded = decode(encode(Packet{p}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<MessageReveal>(*decoded), p);
@@ -75,7 +91,7 @@ TEST(Packet, KeyDisclosureRoundTrip) {
   KeyDisclosure p;
   p.sender = 1;
   p.interval = 5;
-  p.key = Bytes(10, 0x77);
+  p.key = common::InlineBytes<32>(Bytes(10, 0x77));
   const auto decoded = decode(encode(Packet{p}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<KeyDisclosure>(*decoded), p);
@@ -87,8 +103,8 @@ TEST(Packet, CdmRoundTrip) {
   p.high_interval = 6;
   p.low_commitment = Bytes(10, 0x88);
   p.next_cdm_image = Bytes(32, 0x99);
-  p.mac = Bytes(10, 0xaa);
-  p.disclosed_high_key = Bytes(10, 0xbb);
+  p.mac = common::InlineBytes<32>(Bytes(10, 0xaa));
+  p.disclosed_high_key = common::InlineBytes<32>(Bytes(10, 0xbb));
   const auto decoded = decode(encode(Packet{p}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<CdmPacket>(*decoded), p);
@@ -147,7 +163,7 @@ TEST(Packet, SenderOfAllKinds) {
 TEST(Packet, WireBitsAccounting) {
   // MacAnnounce: header (8+32) + interval 32 + mac blob (16 + 80) = 168.
   MacAnnounce a;
-  a.mac = Bytes(10, 0);
+  a.mac = common::InlineBytes<32>(Bytes(10, 0));
   EXPECT_EQ(a.wire_bits(), 8u + 32 + 32 + 16 + 80);
   // A MAC-only announce must be much smaller than a full TESLA packet.
   EXPECT_LT(Packet{a}.index(), 6u);
@@ -241,33 +257,33 @@ std::vector<MalformedCase> malformed_cases() {
   tesla.sender = 7;
   tesla.interval = 42;
   tesla.message = bytes_of("hello sensors");
-  tesla.mac = Bytes(10, 0xab);
+  tesla.mac = common::InlineBytes<32>(Bytes(10, 0xab));
   tesla.disclosed_interval = 40;
-  tesla.disclosed_key = Bytes(10, 0xcd);
+  tesla.disclosed_key = common::InlineBytes<32>(Bytes(10, 0xcd));
 
   MacAnnounce announce;
   announce.sender = 3;
   announce.interval = 9;
-  announce.mac = Bytes(10, 0x55);
+  announce.mac = common::InlineBytes<32>(Bytes(10, 0x55));
 
   MessageReveal reveal;
   reveal.sender = 3;
   reveal.interval = 9;
   reveal.message = bytes_of("reading=42");
-  reveal.key = Bytes(10, 0x66);
+  reveal.key = common::InlineBytes<32>(Bytes(10, 0x66));
 
   KeyDisclosure disclosure;
   disclosure.sender = 1;
   disclosure.interval = 5;
-  disclosure.key = Bytes(10, 0x77);
+  disclosure.key = common::InlineBytes<32>(Bytes(10, 0x77));
 
   CdmPacket cdm;
   cdm.sender = 2;
   cdm.high_interval = 6;
   cdm.low_commitment = Bytes(10, 0x88);
   cdm.next_cdm_image = Bytes(32, 0x99);
-  cdm.mac = Bytes(10, 0xaa);
-  cdm.disclosed_high_key = Bytes(10, 0xbb);
+  cdm.mac = common::InlineBytes<32>(Bytes(10, 0xaa));
+  cdm.disclosed_high_key = common::InlineBytes<32>(Bytes(10, 0xbb));
 
   BootstrapPacket bootstrap;
   bootstrap.sender = 1;
@@ -376,10 +392,135 @@ TEST(PacketMalformed, ExtremeIndexValuesDecodeCleanly) {
   p.sender = 0xffffffffu;
   p.interval = 0xffffffffu;
   p.disclosed_interval = 0xffffffffu;
-  p.mac = Bytes(10, 0x01);
+  p.mac = common::InlineBytes<32>(Bytes(10, 0x01));
   const auto decoded = decode(encode(Packet{p}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<TeslaPacket>(*decoded), p);
+}
+
+}  // namespace
+}  // namespace dap::wire
+
+// ------------------------------------------------ MAC and key decode bound
+//
+// Every MAC or key field decodes into an InlineBytes<32>. The table holds
+// one hand-built encoding per such field (the codec writes it directly,
+// so a blob can be longer than any packet can hold); each is tried with
+// a 0-, 10-, 32- and 33-byte blob in that field.
+
+namespace dap::wire {
+namespace {
+
+using common::ByteView;
+using common::Bytes;
+using common::Writer;
+
+struct BlobFieldCase {
+  const char* field;
+  Bytes (*encode_with)(ByteView blob);
+};
+
+const BlobFieldCase kBlobFields[] = {
+    {"tesla.mac",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(1);  // TeslaPacket
+       w.u32(7);
+       w.u32(42);
+       w.blob(common::bytes_of("hello sensors"));
+       w.blob(blob);
+       w.u32(40);
+       w.blob(Bytes(10, 0xcd));
+       return std::move(w).take();
+     }},
+    {"tesla.disclosed_key",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(1);
+       w.u32(7);
+       w.u32(42);
+       w.blob(common::bytes_of("hello sensors"));
+       w.blob(Bytes(10, 0xab));
+       w.u32(40);
+       w.blob(blob);
+       return std::move(w).take();
+     }},
+    {"mac_announce.mac",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(2);  // MacAnnounce
+       w.u32(3);
+       w.u32(9);
+       w.blob(blob);
+       return std::move(w).take();
+     }},
+    {"message_reveal.key",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(3);  // MessageReveal
+       w.u32(3);
+       w.u32(9);
+       w.blob(common::bytes_of("reading=42"));
+       w.blob(blob);
+       return std::move(w).take();
+     }},
+    {"key_disclosure.key",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(4);  // KeyDisclosure
+       w.u32(1);
+       w.u32(5);
+       w.blob(blob);
+       return std::move(w).take();
+     }},
+    {"cdm.mac",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(5);  // CdmPacket
+       w.u32(2);
+       w.u32(6);
+       w.blob(Bytes(10, 0x88));
+       w.blob(Bytes(32, 0x99));
+       w.blob(blob);
+       w.blob(Bytes(10, 0xbb));
+       return std::move(w).take();
+     }},
+    {"cdm.disclosed_high_key",
+     [](ByteView blob) {
+       Writer w;
+       w.u8(5);
+       w.u32(2);
+       w.u32(6);
+       w.blob(Bytes(10, 0x88));
+       w.blob(Bytes(32, 0x99));
+       w.blob(Bytes(10, 0xaa));
+       w.blob(blob);
+       return std::move(w).take();
+     }},
+};
+
+TEST(PacketDecodeBound, MacAndKeyBlobsUpTo32BytesOnly) {
+  for (const BlobFieldCase& c : kBlobFields) {
+    for (const std::size_t size : {0u, 10u, 32u, 33u}) {
+      Bytes blob(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        blob[i] = static_cast<std::uint8_t>(0x40 + i);
+      }
+      const Bytes wire = c.encode_with(blob);
+      const auto decoded = decode(wire);
+      if (size > 32) {
+        EXPECT_FALSE(decoded.has_value())
+            << c.field << " accepted a " << size << "-byte blob";
+        Writer framed;  // a good CRC does not rescue it
+        framed.raw(wire);
+        framed.u32(crc32(wire));
+        EXPECT_FALSE(deframe(framed.data()).has_value()) << c.field;
+        continue;
+      }
+      ASSERT_TRUE(decoded.has_value()) << c.field << " size " << size;
+      EXPECT_EQ(encode(*decoded), wire) << c.field << " size " << size;
+    }
+  }
 }
 
 }  // namespace
@@ -396,8 +537,8 @@ TEST(Packet, CdmMacPayloadCoversCommitmentAndImage) {
   p.high_interval = 7;
   p.low_commitment = Bytes(10, 0x01);
   p.next_cdm_image = Bytes(32, 0x02);
-  p.mac = Bytes(10, 0x03);
-  p.disclosed_high_key = Bytes(10, 0x04);
+  p.mac = common::InlineBytes<32>(Bytes(10, 0x03));
+  p.disclosed_high_key = common::InlineBytes<32>(Bytes(10, 0x04));
   const Bytes payload = p.mac_payload();
   // Changing any covered field changes the payload...
   CdmPacket q = p;
@@ -421,19 +562,19 @@ TEST(Packet, WireBitsMatchesEncodedSizeForAllKinds) {
   common::Rng rng(77);
   MacAnnounce a;
   a.sender = 1;
-  a.mac = rng.bytes(10);
+  a.mac = common::InlineBytes<32>(rng.bytes(10));
   MessageReveal r;
   r.sender = 1;
   r.message = rng.bytes(25);
-  r.key = rng.bytes(10);
+  r.key = common::InlineBytes<32>(rng.bytes(10));
   KeyDisclosure d;
   d.sender = 1;
-  d.key = rng.bytes(10);
+  d.key = common::InlineBytes<32>(rng.bytes(10));
   CdmPacket c;
   c.sender = 1;
   c.low_commitment = rng.bytes(10);
-  c.mac = rng.bytes(10);
-  c.disclosed_high_key = rng.bytes(10);
+  c.mac = common::InlineBytes<32>(rng.bytes(10));
+  c.disclosed_high_key = common::InlineBytes<32>(rng.bytes(10));
   BootstrapPacket b;
   b.sender = 1;
   b.commitment = rng.bytes(10);
