@@ -19,8 +19,11 @@ Layer order (low to high):
                                 src/crypto/sha256_batch*, a virtual node
                                 so the scalar primitives can never grow a
                                 dependency on the batch backend)
-    sim                         clocks, channels, event queue
-    tesla                       TESLA baselines (uses crypto, sim, wire)
+    sim                         clocks, channels, event queue, medium
+    tesla                       the TESLA++ and multi-level uTESLA
+                                baselines, plus the chain authenticator,
+                                reservoir buffers and time sync DAP
+                                shares with them (uses crypto, sim, wire)
     dap                         the paper's protocol (extends tesla)
     fleet                       fleet sim
     strategy                    adaptive attacker and defender,

@@ -379,15 +379,6 @@ FleetChaosResult run_fleet_chaos_case(const FleetChaosCase& chaos_case,
   return result;
 }
 
-std::vector<FleetChaosResult> run_fleet_chaos_cases(
-    const std::vector<FleetChaosCase>& cases) {
-  // Deterministic like run_chaos_soaks: each case seeds its own RNGs,
-  // and per-slot telemetry merges in slot order.
-  return common::parallel_map<FleetChaosResult>(
-      cases.size(),
-      [&cases](std::size_t i) { return run_fleet_chaos_case(cases[i]); });
-}
-
 namespace {
 
 /// Chain 0 -> 1 -> 2 for the single-relay fault cases; the scenario ids

@@ -135,11 +135,6 @@ struct FleetChaosResult {
 FleetChaosResult run_fleet_chaos_case(const FleetChaosCase& chaos_case,
                                       obs::Snapshotter* snapshotter = nullptr);
 
-/// Fans the cases across the parallel engine (slot order preserved,
-/// telemetry merges deterministically like run_chaos_soaks).
-std::vector<FleetChaosResult> run_fleet_chaos_cases(
-    const std::vector<FleetChaosCase>& cases);
-
 /// The named relay-fault scenarios the fleet soak iterates: crash with
 /// reboot skew, healing partition, degraded budget under flood, guard
 /// saturation, and the combined mix. Smoke shrinks cohorts, not the

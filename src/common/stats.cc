@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace dap::common {
 
@@ -33,11 +32,6 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStats::ci95_halfwidth() const noexcept {
-  if (n_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
 
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
@@ -77,36 +71,6 @@ std::pair<double, double> RateEstimator::wilson95() const noexcept {
   const double margin = z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
   return {std::max(0.0, (centre - margin) / denom),
           std::min(1.0, (centre + margin) / denom)};
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-  if (bins == 0) throw std::invalid_argument("Histogram: need >= 1 bin");
-}
-
-void Histogram::add(double x) noexcept {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const { return counts_.at(i); }
-
-double Histogram::bin_lo(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_lo");
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  if (i >= counts_.size()) throw std::out_of_range("Histogram::bin_hi");
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) /
-                   static_cast<double>(counts_.size());
 }
 
 std::vector<double> linspace(double lo, double hi, std::size_t n) {

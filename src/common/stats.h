@@ -22,9 +22,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
-  /// Half-width of the normal-approximation 95% confidence interval of the
-  /// mean (1.96 * stderr); 0 for fewer than two samples.
-  [[nodiscard]] double ci95_halfwidth() const noexcept;
 
   /// Merges another accumulator into this one (parallel reduction).
   void merge(const RunningStats& other) noexcept;
@@ -59,26 +56,6 @@ class RateEstimator {
  private:
   std::size_t trials_ = 0;
   std::size_t successes_ = 0;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Linearly spaced sweep points: n values from lo to hi inclusive.

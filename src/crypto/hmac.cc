@@ -75,11 +75,6 @@ Digest HmacKey::mac(common::ByteView message) const noexcept {
   return h.finalize();
 }
 
-common::Bytes HmacKey::mac_bytes(common::ByteView message) const {
-  const Digest d = mac(message);
-  return common::Bytes(d.begin(), d.end());
-}
-
 bool HmacKey::verify(common::ByteView message,
                      common::ByteView tag) const noexcept {
   const Digest expect = mac(message);
@@ -110,12 +105,6 @@ Digest hmac_sha256(common::ByteView key, common::ByteView message) noexcept {
   outer.update(common::ByteView(opad.data(), opad.size()));
   outer.update(common::ByteView(inner_digest.data(), inner_digest.size()));
   return outer.finalize();
-}
-
-common::Bytes hmac_sha256_bytes(common::ByteView key,
-                                common::ByteView message) {
-  const Digest d = hmac_sha256(key, message);
-  return common::Bytes(d.begin(), d.end());
 }
 
 bool hmac_verify(common::ByteView key, common::ByteView message,

@@ -28,9 +28,6 @@ class HmacKey {
   /// Full 32-byte tag; identical to `hmac_sha256(key, message)`.
   [[nodiscard]] Digest mac(common::ByteView message) const noexcept;
 
-  /// Same tag as a Bytes buffer.
-  [[nodiscard]] common::Bytes mac_bytes(common::ByteView message) const;
-
   /// Verifies in constant time.
   [[nodiscard]] bool verify(common::ByteView message,
                             common::ByteView tag) const noexcept;
@@ -51,10 +48,6 @@ class HmacKey {
 
 /// Full 32-byte HMAC-SHA-256 tag.
 Digest hmac_sha256(common::ByteView key, common::ByteView message) noexcept;
-
-/// Same tag as a Bytes buffer.
-common::Bytes hmac_sha256_bytes(common::ByteView key,
-                                common::ByteView message);
 
 /// Verifies in constant time.
 bool hmac_verify(common::ByteView key, common::ByteView message,

@@ -46,11 +46,6 @@ common::InlineBytes<32> compute_mac(const HmacKey& key,
   return truncate(key.mac(message), size);
 }
 
-common::InlineBytes<32> micro_mac(const HmacKey& recv_key,
-                                  common::ByteView mac, std::size_t size) {
-  return compute_mac(recv_key, mac, size);
-}
-
 bool verify_mac(const HmacKey& key, common::ByteView message,
                 common::ByteView tag) {
   if (tag.empty() || tag.size() > kSha256DigestSize) return false;

@@ -46,9 +46,6 @@ bool verify_mac(common::ByteView key, common::ByteView message,
 common::InlineBytes<32> compute_mac(const HmacKey& key,
                                     common::ByteView message,
                                     std::size_t size = kMacSize);
-common::InlineBytes<32> micro_mac(const HmacKey& recv_key,
-                                  common::ByteView mac,
-                                  std::size_t size = kMicroMacSize);
 bool verify_mac(const HmacKey& key, common::ByteView message,
                 common::ByteView tag);
 

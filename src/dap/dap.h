@@ -36,7 +36,6 @@
 #include "tesla/buffer.h"
 #include "tesla/chain_auth.h"
 #include "tesla/resync.h"
-#include "tesla/tesla.h"
 #include "tesla/verdict.h"
 #include "wire/packet.h"
 

@@ -65,10 +65,6 @@ std::ofstream open_for_write(const std::string& path) {
 
 }  // namespace
 
-std::string metrics_json(const Registry& registry, double wall_seconds) {
-  return metrics_json(registry, wall_seconds, std::string());
-}
-
 std::string metrics_json(const Registry& registry, double wall_seconds,
                          const std::string& extra_fields) {
   std::ostringstream out;
@@ -144,11 +140,6 @@ std::string metrics_json(const Registry& registry, double wall_seconds,
 
   out << "\n}\n";
   return out.str();
-}
-
-void write_metrics_json(const Registry& registry, const std::string& path,
-                        double wall_seconds) {
-  open_for_write(path) << metrics_json(registry, wall_seconds);
 }
 
 void write_metrics_json(const Registry& registry, const std::string& path,

@@ -26,24 +26,17 @@ namespace detail {
 }  // namespace detail
 
 /// JSON snapshot of every instrument in `registry`. `wall_seconds` < 0
-/// omits the wall-time field.
+/// omits the wall-time field. `extra_fields` — pre-rendered JSON members
+/// such as `"threads": 4, "peak_rss_kb": 1234` (no surrounding braces, no
+/// trailing comma) — is spliced in right after the wall-time field; an
+/// empty string adds nothing. The caller owns the validity of the
+/// rendered fragment.
 [[nodiscard]] std::string metrics_json(const Registry& registry,
-                                       double wall_seconds = -1.0);
-
-/// As above, but splices `extra_fields` — pre-rendered JSON members such
-/// as `"threads": 4, "peak_rss_kb": 1234` (no surrounding braces, no
-/// trailing comma) — right after the wall-time field. Empty string adds
-/// nothing. The caller owns the validity of the rendered fragment.
-[[nodiscard]] std::string metrics_json(const Registry& registry,
-                                       double wall_seconds,
-                                       const std::string& extra_fields);
+                                       double wall_seconds = -1.0,
+                                       const std::string& extra_fields = {});
 
 /// Writes `metrics_json` to `path`, creating parent directories.
 /// Throws std::runtime_error when the file cannot be opened.
-void write_metrics_json(const Registry& registry, const std::string& path,
-                        double wall_seconds = -1.0);
-
-/// Three-field variant threading `extra_fields` through to the renderer.
 void write_metrics_json(const Registry& registry, const std::string& path,
                         double wall_seconds, const std::string& extra_fields);
 

@@ -133,60 +133,6 @@ double LatencyHistogram::quantile(double q) const noexcept {
 
 Registry::Registry() : uid_(next_registry_uid()) {}
 
-Registry::Registry(const Registry& other)
-    : uid_(next_registry_uid()),
-      counter_names_(other.counter_names_),
-      gauge_names_(other.gauge_names_),
-      histogram_names_(other.histogram_names_),
-      rate_names_(other.rate_names_),
-      counters_(other.counters_),
-      gauges_(other.gauges_),
-      gauge_written_(other.gauge_written_),
-      histograms_(other.histograms_),
-      rates_(other.rates_) {}
-
-Registry& Registry::operator=(const Registry& other) {
-  if (this == &other) return *this;
-  counter_names_ = other.counter_names_;
-  gauge_names_ = other.gauge_names_;
-  histogram_names_ = other.histogram_names_;
-  rate_names_ = other.rate_names_;
-  counters_ = other.counters_;
-  gauges_ = other.gauges_;
-  gauge_written_ = other.gauge_written_;
-  histograms_ = other.histograms_;
-  rates_ = other.rates_;
-  uid_ = next_registry_uid();  // contents changed: invalidate cached handles
-  return *this;
-}
-
-Registry::Registry(Registry&& other) noexcept
-    : uid_(next_registry_uid()),
-      counter_names_(std::move(other.counter_names_)),
-      gauge_names_(std::move(other.gauge_names_)),
-      histogram_names_(std::move(other.histogram_names_)),
-      rate_names_(std::move(other.rate_names_)),
-      counters_(std::move(other.counters_)),
-      gauges_(std::move(other.gauges_)),
-      gauge_written_(std::move(other.gauge_written_)),
-      histograms_(std::move(other.histograms_)),
-      rates_(std::move(other.rates_)) {}
-
-Registry& Registry::operator=(Registry&& other) noexcept {
-  if (this == &other) return *this;
-  counter_names_ = std::move(other.counter_names_);
-  gauge_names_ = std::move(other.gauge_names_);
-  histogram_names_ = std::move(other.histogram_names_);
-  rate_names_ = std::move(other.rate_names_);
-  counters_ = std::move(other.counters_);
-  gauges_ = std::move(other.gauges_);
-  gauge_written_ = std::move(other.gauge_written_);
-  histograms_ = std::move(other.histograms_);
-  rates_ = std::move(other.rates_);
-  uid_ = next_registry_uid();
-  return *this;
-}
-
 namespace {
 
 /// First entry in the sorted (name, slot) index not ordering before
@@ -374,19 +320,6 @@ void Registry::merge_from(const Registry& other) {
     const RateHandle h = rate(other.rate_names_.names[slot]);
     rates_[h.index].merge(other.rates_[slot]);
   }
-}
-
-void Registry::clear() noexcept {
-  counter_names_ = NameTable{};
-  gauge_names_ = NameTable{};
-  histogram_names_ = NameTable{};
-  rate_names_ = NameTable{};
-  counters_.clear();
-  gauges_.clear();
-  gauge_written_.clear();
-  histograms_.clear();
-  rates_.clear();
-  uid_ = next_registry_uid();  // handles are invalid now; force re-resolve
 }
 
 void Registry::reset() noexcept {

@@ -131,12 +131,8 @@ class LatencyHistogram {
 class Registry {
  public:
   Registry();
-  /// Copies and moves carry the instruments but the destination gets a
-  /// fresh uid: it is a new registry as far as cached handles go.
-  Registry(const Registry& other);
-  Registry& operator=(const Registry& other);
-  Registry(Registry&& other) noexcept;
-  Registry& operator=(Registry&& other) noexcept;
+  Registry(const Registry& other) = delete;
+  Registry& operator=(const Registry& other) = delete;
   ~Registry() = default;
 
   // ---- Registration (idempotent: re-registering a name returns the
@@ -227,14 +223,10 @@ class Registry {
   void merge_from(const Registry& other);
 
   /// Identifier distinguishing registry *instances* (never 0, never
-  /// reused, survives clear()). Cached-handle holders key their caches on
+  /// reused). Cached-handle holders key their caches on
   /// this so a handle resolved against one registry is never used to
   /// index another — see PerRegistryCache.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
-
-  /// Drops every instrument and name. Handles become invalid; intended
-  /// for tests and multi-phase benches that snapshot between phases.
-  void clear() noexcept;
 
   /// Zeroes every value but keeps names and slots, so a recycled
   /// parallel_for shard allocates nothing. Every instrument counts as

@@ -1,6 +1,5 @@
 #include "obs/snapshot.h"
 
-#include <ostream>
 #include <sstream>
 
 #include "obs/export.h"
@@ -77,10 +76,6 @@ std::string Snapshotter::stream() const {
       << json_string(label_) << ",\"cadence_us\":" << cadence_ << "}\n";
   out << body_;
   return out.str();
-}
-
-void Snapshotter::write(std::ostream& out) const {
-  out << stream();
 }
 
 }  // namespace dap::obs

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -53,9 +52,6 @@ class Snapshotter {
 
   /// The full JSONL stream (header + one line per sample).
   [[nodiscard]] std::string stream() const;
-
-  /// Writes the stream to `out`.
-  void write(std::ostream& out) const;
 
  private:
   std::string label_;

@@ -41,16 +41,6 @@ std::size_t FloodingForger::copies_for_fraction(std::size_t legit_copies,
   return static_cast<std::size_t>(std::llround(forged));
 }
 
-void ReplayAttacker::observe(const wire::MacAnnounce& packet) {
-  recorded_.push_back(packet);
-}
-
-void ReplayAttacker::replay_all(Medium& medium) const {
-  for (const auto& p : recorded_) {
-    medium.broadcast(wire::Packet{p});
-  }
-}
-
 KeyGuessForger::KeyGuessForger(wire::NodeId victim_sender,
                                std::size_t key_size, common::Rng rng)
     : victim_(victim_sender), key_size_(key_size), rng_(rng) {

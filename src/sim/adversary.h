@@ -1,6 +1,6 @@
 #pragma once
 // Adversary models for the memory-based DoS attack of the paper, plus the
-// forgery/replay attackers used by the security tests.
+// reveal forger used by the security tests.
 //
 // The paper's attacker floods the MAC announcement channel with forged
 // MAC packets during interval I_i so that receiver buffers fill with
@@ -9,7 +9,6 @@
 // is the forged fraction). `FloodingForger` produces exactly that load.
 
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
 #include "sim/medium.h"
@@ -44,22 +43,6 @@ class FloodingForger {
   std::size_t mac_size_;
   common::Rng rng_;
   std::uint64_t forged_ = 0;
-};
-
-/// Records authentic MAC announcements and replays them verbatim in later
-/// intervals. Replays must be discarded by the receiver's safety check
-/// (i + d < x) once the interval's key is public.
-class ReplayAttacker {
- public:
-  void observe(const wire::MacAnnounce& packet);
-  /// Replays everything observed into `medium` (unchanged contents).
-  void replay_all(Medium& medium) const;
-  [[nodiscard]] std::size_t recorded() const noexcept {
-    return recorded_.size();
-  }
-
- private:
-  std::vector<wire::MacAnnounce> recorded_;
 };
 
 /// Crafts a full forged reveal (message + guessed key). Without breaking

@@ -8,8 +8,6 @@ std::size_t Channel::deliveries(common::Rng& rng) {
   return deliver(rng) ? 1 : 0;
 }
 
-void Channel::corrupt(common::Bytes&, common::Rng&) {}
-
 bool PerfectChannel::deliver(common::Rng&) { return true; }
 
 std::unique_ptr<Channel> PerfectChannel::clone() const {
@@ -64,35 +62,6 @@ std::unique_ptr<Channel> GilbertElliottChannel::clone() const {
 double GilbertElliottChannel::stationary_loss() const noexcept {
   const double pi_bad = p_gb_ / (p_gb_ + p_bg_);
   return pi_bad * loss_bad_ + (1.0 - pi_bad) * loss_good_;
-}
-
-BitErrorChannel::BitErrorChannel(std::unique_ptr<Channel> inner,
-                                 double bit_error_rate)
-    : inner_(std::move(inner)), ber_(bit_error_rate) {
-  if (!inner_) throw std::invalid_argument("BitErrorChannel: null inner");
-  if (ber_ < 0.0 || ber_ > 1.0) {
-    throw std::invalid_argument("BitErrorChannel: BER must be in [0,1]");
-  }
-}
-
-bool BitErrorChannel::deliver(common::Rng& rng) {
-  return inner_->deliver(rng);
-}
-
-void BitErrorChannel::corrupt(common::Bytes& frame, common::Rng& rng) {
-  inner_->corrupt(frame, rng);
-  if (ber_ <= 0.0) return;
-  for (auto& byte : frame) {
-    for (int bit = 0; bit < 8; ++bit) {
-      if (rng.bernoulli(ber_)) {
-        byte = static_cast<std::uint8_t>(byte ^ (1u << bit));
-      }
-    }
-  }
-}
-
-std::unique_ptr<Channel> BitErrorChannel::clone() const {
-  return std::make_unique<BitErrorChannel>(inner_->clone(), ber_);
 }
 
 }  // namespace dap::sim

@@ -6,13 +6,12 @@
 // Gilbert–Elliott two-state Markov chain, which is what makes the EFTP /
 // EDRP recovery experiments meaningful (consecutive CDM losses happen).
 // A channel decides, per frame and per receiver, whether the frame
-// arrives, and can additionally flip bits (caught by CRC framing).
+// arrives, and how many copies of it.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 
-#include "common/bytes.h"
 #include "common/rng.h"
 
 namespace dap::sim {
@@ -31,9 +30,6 @@ class Channel {
   /// Duplicating decorators (sim/faults.h) override this to return > 1;
   /// the medium delivers each copy independently.
   virtual std::size_t deliveries(common::Rng& rng);
-
-  /// Applies in-place corruption to surviving frames (default: none).
-  virtual void corrupt(common::Bytes& frame, common::Rng& rng);
 
   /// A fresh instance with the same parameters but reset state.
   [[nodiscard]] virtual std::unique_ptr<Channel> clone() const = 0;
@@ -77,20 +73,6 @@ class GilbertElliottChannel final : public Channel {
   double loss_good_;
   double loss_bad_;
   bool bad_ = false;
-};
-
-/// Decorator adding uniform random bit flips (rate per bit) to surviving
-/// frames; CRC framing turns corruption into loss at the receiver.
-class BitErrorChannel final : public Channel {
- public:
-  BitErrorChannel(std::unique_ptr<Channel> inner, double bit_error_rate);
-  bool deliver(common::Rng& rng) override;
-  void corrupt(common::Bytes& frame, common::Rng& rng) override;
-  [[nodiscard]] std::unique_ptr<Channel> clone() const override;
-
- private:
-  std::unique_ptr<Channel> inner_;
-  double ber_;
 };
 
 }  // namespace dap::sim

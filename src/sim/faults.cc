@@ -86,10 +86,6 @@ std::size_t DuplicateChannel::deliveries(common::Rng& rng) {
   return inner + extra;
 }
 
-void DuplicateChannel::corrupt(common::Bytes& frame, common::Rng& rng) {
-  inner_->corrupt(frame, rng);
-}
-
 std::unique_ptr<Channel> DuplicateChannel::clone() const {
   return std::make_unique<DuplicateChannel>(inner_->clone(), dup_probability_,
                                             schedule_, clock_);
@@ -114,10 +110,6 @@ bool BlackoutChannel::deliver(common::Rng& rng) {
 std::size_t BlackoutChannel::deliveries(common::Rng& rng) {
   if (schedule_->active(clock_->now())) return 0;
   return inner_->deliveries(rng);
-}
-
-void BlackoutChannel::corrupt(common::Bytes& frame, common::Rng& rng) {
-  inner_->corrupt(frame, rng);
 }
 
 std::unique_ptr<Channel> BlackoutChannel::clone() const {

@@ -2,7 +2,7 @@
 // Scripted fault injection for the simulation layer.
 //
 // The channel models in channel.h cover steady-state pathology (loss,
-// burstiness, bit errors). This header covers *scheduled* pathology — the
+// burstiness). This header covers *scheduled* pathology — the
 // fault classes a deployment implies but a Bernoulli coin never produces:
 // delay jitter (which reorders frames through the event queue), frame
 // duplication, total link blackouts, and receiver clock drift/steps.
@@ -112,7 +112,6 @@ class DuplicateChannel final : public Channel {
                    const EventQueue* clock = nullptr);
   bool deliver(common::Rng& rng) override;
   std::size_t deliveries(common::Rng& rng) override;
-  void corrupt(common::Bytes& frame, common::Rng& rng) override;
   [[nodiscard]] std::unique_ptr<Channel> clone() const override;
 
  private:
@@ -133,7 +132,6 @@ class BlackoutChannel final : public Channel {
                   const EventQueue& clock);
   bool deliver(common::Rng& rng) override;
   std::size_t deliveries(common::Rng& rng) override;
-  void corrupt(common::Bytes& frame, common::Rng& rng) override;
   [[nodiscard]] std::unique_ptr<Channel> clone() const override;
 
  private:

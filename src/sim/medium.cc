@@ -11,7 +11,6 @@ Medium::Medium(EventQueue& queue, common::Rng& rng)
   ctr_rate_limited_ = registry_.counter("medium.rate_limited");
   ctr_broadcasts_ = registry_.counter("medium.broadcasts");
   ctr_frames_lost_ = registry_.counter("medium.frames_lost");
-  ctr_frames_corrupted_ = registry_.counter("medium.frames_corrupted");
   ctr_frames_duplicated_ = registry_.counter("medium.frames_duplicated");
 }
 
@@ -45,7 +44,6 @@ std::uint64_t Medium::rate_limited_drops(wire::NodeId sender) const noexcept {
 
 bool Medium::broadcast(const wire::Packet& packet) {
   const wire::NodeId sender = wire::sender_of(packet);
-  const common::Bytes framed = wire::frame(packet);
   const std::size_t bits = wire::wire_bits(packet);
   const auto bucket = rate_limits_.find(sender);
   if (bucket != rate_limits_.end() &&
@@ -54,12 +52,12 @@ bool Medium::broadcast(const wire::Packet& packet) {
     registry_.add(ctr_rate_limited_);
     return false;
   }
-  if (bits_by_sender_.size() <= sender) {
-    bits_by_sender_.resize(static_cast<std::size_t>(sender) + 1, 0);
-  }
-  bits_by_sender_[sender] += bits;
   total_bits_ += bits;
   registry_.add(ctr_broadcasts_);
+
+  // One immutable copy serves every link and every duplicate; it is made
+  // on the first delivery, so a broadcast every link loses copies nothing.
+  std::shared_ptr<const wire::Packet> shared;
 
   for (std::size_t li = 0; li < links_.size(); ++li) {
     auto& link = links_[li];
@@ -71,34 +69,19 @@ bool Medium::broadcast(const wire::Packet& packet) {
     for (std::size_t c = 0; c < copies; ++c) {
       if (c > 0) {
         // A duplicate is one more transmission on the medium: count its
-        // airtime against the original sender so bandwidth-fraction
-        // experiments see the true load.
-        bits_by_sender_[sender] += bits;
+        // airtime so bandwidth-fraction experiments see the true load.
         total_bits_ += bits;
         registry_.add(ctr_frames_duplicated_);
       }
-      common::Bytes copy = framed;
-      link.channel->corrupt(copy, link.rng);
-      // Deframing happens at delivery time so CRC failures of corrupted
-      // frames count as losses at the receiver edge. The link is addressed
-      // by index: links_ may grow (never shrink) while events are pending.
-      queue_.schedule_in(link.latency->sample(link.rng),
-                         [this, li, copy = std::move(copy)]() {
-        auto packet_opt = wire::deframe(copy);
-        if (!packet_opt) {
-          registry_.add(ctr_frames_corrupted_);
-          return;
-        }
-        links_[li].receive(*packet_opt, queue_.now());
+      if (!shared) shared = std::make_shared<const wire::Packet>(packet);
+      // The link is addressed by index: links_ may grow (never shrink)
+      // while events are pending.
+      queue_.schedule_in(link.latency->sample(link.rng), [this, li, shared]() {
+        links_[li].receive(*shared, queue_.now());
       });
     }
   }
   return true;
-}
-
-std::uint64_t Medium::bits_sent_by(wire::NodeId sender) const noexcept {
-  if (sender >= bits_by_sender_.size()) return 0;
-  return bits_by_sender_[sender];
 }
 
 }  // namespace dap::sim

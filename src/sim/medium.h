@@ -4,9 +4,9 @@
 // Models a single-hop broadcast domain (the setting of μTESLA-style
 // protocols: one base-station/sender population, many receiver nodes,
 // plus attackers injecting into the same medium). Every broadcast is
-// framed (CRC), then independently pushed through each attached link's
-// channel model and latency; receivers get only intact frames.
-// Per-sender bandwidth accounting feeds the bandwidth-fraction
+// independently pushed through each attached link's channel model and
+// latency; every delivered copy is the one immutable packet the sender
+// broadcast. Bandwidth accounting feeds the bandwidth-fraction
 // experiments.
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/shaper.h"
-#include "wire/frame.h"
 #include "wire/packet.h"
 
 namespace dap::sim {
@@ -48,9 +47,8 @@ class Medium {
   /// Returns false if the sender's rate limit dropped the frame.
   /// A channel that duplicates (Channel::deliveries > 1) makes the extra
   /// copies count as additional medium transmissions: their bits are
-  /// added to total_bits and attributed to the original sender, since a
-  /// network-level retransmission consumes airtime exactly like the
-  /// first copy did.
+  /// added to total_bits, since a network-level retransmission consumes
+  /// airtime exactly like the first copy did.
   bool broadcast(const wire::Packet& packet);
 
   /// Caps `sender`'s transmit rate with a token bucket. Enforces the
@@ -63,7 +61,6 @@ class Medium {
   [[nodiscard]] std::uint64_t rate_limited_drops(
       wire::NodeId sender) const noexcept;
 
-  [[nodiscard]] std::uint64_t bits_sent_by(wire::NodeId sender) const noexcept;
   [[nodiscard]] std::uint64_t total_bits() const noexcept {
     return total_bits_;
   }
@@ -93,7 +90,6 @@ class Medium {
   EventQueue& queue_;
   common::Rng rng_;
   std::vector<Link> links_;
-  std::vector<std::uint64_t> bits_by_sender_;
   std::uint64_t total_bits_ = 0;
   std::map<wire::NodeId, TokenBucket> rate_limits_;
   std::map<wire::NodeId, std::uint64_t> rate_limited_;
@@ -102,7 +98,6 @@ class Medium {
   obs::CounterHandle ctr_rate_limited_;
   obs::CounterHandle ctr_broadcasts_;
   obs::CounterHandle ctr_frames_lost_;
-  obs::CounterHandle ctr_frames_corrupted_;
   obs::CounterHandle ctr_frames_duplicated_;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 // Receiver-side one-way-chain authentication state, shared by every
-// protocol receiver in the family (TESLA, μTESLA, multi-level μTESLA's
-// two levels, TESLA++, DAP).
+// protocol receiver in the family (multi-level μTESLA's two levels,
+// TESLA++, DAP).
 //
 // Holds the newest authentic (index, key) anchor and accepts a candidate
 // K_i by walking the one-way function i - anchor steps ("weak

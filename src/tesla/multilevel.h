@@ -31,7 +31,7 @@
 #include "sim/clock_model.h"
 #include "tesla/buffer.h"
 #include "tesla/chain_auth.h"
-#include "tesla/tesla.h"
+#include "tesla/verdict.h"
 #include "wire/packet.h"
 
 namespace dap::tesla {

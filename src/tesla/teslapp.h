@@ -12,7 +12,7 @@
 //
 // (TESLA++ additionally signs some traffic with ECDSA for non-repudiation;
 // that aspect is orthogonal to the DoS/memory trade-off studied here and
-// is covered by the WOTS bootstrap signature, per DESIGN.md.)
+// is covered by the Merkle-signed anchors below, per DESIGN.md.)
 
 #include <cstdint>
 #include <map>
@@ -27,7 +27,7 @@
 #include "sim/clock_model.h"
 #include "tesla/chain_auth.h"
 #include "tesla/resync.h"
-#include "tesla/tesla.h"
+#include "tesla/verdict.h"
 #include "wire/packet.h"
 
 namespace dap::tesla {

@@ -1,10 +1,10 @@
 #pragma once
 // Link-layer framing: packet bytes + CRC-32 trailer.
 //
-// The simulator corrupts frames at the byte level when a channel is
-// configured with a bit-error model; `deframe` drops corrupted frames the
-// way real link hardware would, so the protocol layer sees only intact
-// packets or losses.
+// `deframe` is the entry point for bytes that come from outside the
+// program (the end-to-end driver's receive path, the fuzz corpus): it
+// drops a frame whose CRC does not match the way real link hardware
+// would, so the protocol layer sees only intact packets or losses.
 
 #include <optional>
 

@@ -1,7 +1,7 @@
 #pragma once
 // Packet model for the whole protocol family.
 //
-// Every broadcast in TESLA / μTESLA / multi-level μTESLA / TESLA++ / DAP
+// Every broadcast in the TESLA family (multi-level μTESLA, TESLA++, DAP)
 // is one of a small set of packet kinds; they are modelled as a
 // std::variant so protocol code pattern-matches instead of down-casting.
 // Each kind knows its on-wire bit size (used by the bandwidth model and

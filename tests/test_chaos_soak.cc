@@ -14,6 +14,7 @@
 #include <string>
 
 #include "analysis/chaos.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "dap/dap.h"
 #include "obs/registry.h"
@@ -159,7 +160,9 @@ TEST(FleetChaos, EveryStandardCaseHoldsAllThreeInvariants) {
   // full sentinel authentication within the case's documented bound.
   const auto cases = analysis::standard_fleet_chaos_cases(/*smoke=*/true);
   ASSERT_GE(cases.size(), 5u);
-  const auto results = analysis::run_fleet_chaos_cases(cases);
+  const auto results = common::parallel_map<analysis::FleetChaosResult>(
+      cases.size(),
+      [&](std::size_t i) { return analysis::run_fleet_chaos_case(cases[i]); });
   ASSERT_EQ(results.size(), cases.size());
   for (const auto& result : results) {
     EXPECT_TRUE(result.zero_forged)
@@ -177,7 +180,9 @@ TEST(FleetChaos, CasesExerciseEveryFaultKindAndStressTheGuard) {
   // one crash cycle, one healed partition, budget shedding, and tag
   // evictions somewhere across the cases.
   const auto cases = analysis::standard_fleet_chaos_cases(/*smoke=*/true);
-  const auto results = analysis::run_fleet_chaos_cases(cases);
+  const auto results = common::parallel_map<analysis::FleetChaosResult>(
+      cases.size(),
+      [&](std::size_t i) { return analysis::run_fleet_chaos_case(cases[i]); });
   std::uint64_t restarts = 0;
   std::uint64_t shed = 0;
   std::uint64_t evicted = 0;

@@ -292,7 +292,6 @@ TEST(RunningStats, SingleSampleHasZeroVariance) {
   RunningStats s;
   s.add(3.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.ci95_halfwidth(), 0.0);
 }
 
 TEST(RunningStats, MergeEqualsSequential) {
@@ -351,26 +350,6 @@ TEST(RateEstimator, ExtremesStayInUnitInterval) {
   EXPECT_GE(none.wilson95().first, 0.0);
   EXPECT_LT(all.wilson95().first, 1.0);  // uncertainty remains
   EXPECT_GT(none.wilson95().second, 0.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 4
-  h.add(-3.0);   // clamps to bin 0
-  h.add(42.0);   // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Linspace, EndpointsAndSpacing) {

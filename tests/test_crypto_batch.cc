@@ -324,7 +324,6 @@ TEST(HmacKey, MacHelpersMatchByteViewOverloads) {
   const Bytes msg = bytes_of("announce");
   const HmacKey cached{ByteView(key)};
   EXPECT_EQ(compute_mac(cached, msg), compute_mac(key, msg));
-  EXPECT_EQ(micro_mac(cached, msg), micro_mac(key, msg));
   EXPECT_TRUE(verify_mac(cached, msg, compute_mac(key, msg)));
   EXPECT_FALSE(verify_mac(cached, msg, compute_mac(key, bytes_of("x"))));
 }

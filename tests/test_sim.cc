@@ -229,29 +229,6 @@ TEST(Channel, CloneResetsState) {
   EXPECT_FALSE(ge->in_bad_state());
 }
 
-TEST(Channel, BitErrorFlipsBits) {
-  BitErrorChannel ch(std::make_unique<PerfectChannel>(), 0.5);
-  Rng rng(7);
-  Bytes frame(100, 0x00);
-  ch.corrupt(frame, rng);
-  int flipped = 0;
-  for (auto b : frame) {
-    for (int bit = 0; bit < 8; ++bit) {
-      if (b & (1u << bit)) ++flipped;
-    }
-  }
-  EXPECT_NEAR(flipped / 800.0, 0.5, 0.06);
-}
-
-TEST(Channel, BitErrorZeroRateLeavesFrameIntact) {
-  BitErrorChannel ch(std::make_unique<PerfectChannel>(), 0.0);
-  Rng rng(8);
-  Bytes frame(32, 0xa5);
-  const Bytes original = frame;
-  ch.corrupt(frame, rng);
-  EXPECT_EQ(frame, original);
-}
-
 // ------------------------------------------------------------ LooseClock
 
 TEST(LooseClock, OffsetApplied) {
@@ -316,6 +293,34 @@ TEST(Medium, DeliversToAllLinks) {
   q.run();
   EXPECT_EQ(received_a, 1);
   EXPECT_EQ(received_b, 1);
+
+  // Every packet kind arrives equal to what was broadcast, on a plain
+  // link and as both copies on a duplicating one.
+  const Bytes blob = common::bytes_of("payload");
+  const common::InlineBytes<32> tag(Bytes(10, 0x5a));
+  const std::vector<wire::Packet> sent = {
+      wire::TeslaPacket{2, 3, blob, tag, 1, tag},
+      make_announce(2, 4),
+      wire::MessageReveal{2, 5, blob, tag},
+      wire::KeyDisclosure{2, 6, tag},
+      wire::CdmPacket{2, 7, blob, blob, tag, tag},
+      wire::BootstrapPacket{2, 1, kSecond, blob, blob, blob},
+  };
+  Medium kinds(q, rng);
+  std::vector<wire::Packet> plain;
+  std::vector<wire::Packet> doubled;
+  kinds.attach([&](const wire::Packet& p, SimTime) { plain.push_back(p); },
+               std::make_unique<PerfectChannel>());
+  kinds.attach([&](const wire::Packet& p, SimTime) { doubled.push_back(p); },
+               std::make_unique<DuplicateChannel>(
+                   std::make_unique<PerfectChannel>(), 1.0));
+  for (const wire::Packet& p : sent) kinds.broadcast(p);
+  q.run();
+  EXPECT_EQ(plain, sent);
+  ASSERT_EQ(doubled.size(), 2 * sent.size());
+  for (std::size_t i = 0; i < doubled.size(); ++i) {
+    EXPECT_EQ(doubled[i], sent[i / 2]) << "copy " << i;
+  }
 }
 
 TEST(Medium, RespectsLatency) {
@@ -347,25 +352,6 @@ TEST(Medium, LossyLinkDropsFrames) {
             1000u - static_cast<unsigned>(received));
 }
 
-TEST(Medium, CorruptedFramesCountedNotDelivered) {
-  EventQueue q;
-  Rng rng(13);
-  Medium medium(q, rng);
-  int received = 0;
-  medium.attach(
-      [&](const wire::Packet&, SimTime) { ++received; },
-      std::make_unique<BitErrorChannel>(std::make_unique<PerfectChannel>(),
-                                        0.05));
-  for (int i = 0; i < 200; ++i) {
-    medium.broadcast(wire::Packet{make_announce(1, 1)});
-  }
-  q.run();
-  EXPECT_EQ(static_cast<std::uint64_t>(received) +
-                count(medium, "medium.frames_corrupted"),
-            200u);
-  EXPECT_GT(count(medium, "medium.frames_corrupted"), 0u);
-}
-
 TEST(Medium, TracksBandwidthBySender) {
   EventQueue q;
   Rng rng(14);
@@ -378,9 +364,6 @@ TEST(Medium, TracksBandwidthBySender) {
   medium.broadcast(p1);
   medium.broadcast(p2);
   q.run();
-  EXPECT_EQ(medium.bits_sent_by(1), 2 * wire::wire_bits(p1));
-  EXPECT_EQ(medium.bits_sent_by(2), wire::wire_bits(p2));
-  EXPECT_EQ(medium.bits_sent_by(99), 0u);
   EXPECT_EQ(medium.total_bits(),
             2 * wire::wire_bits(p1) + wire::wire_bits(p2));
 }
@@ -447,26 +430,6 @@ TEST(Adversary, CopiesForFractionHitsTarget) {
         static_cast<double>(forged) / static_cast<double>(forged + legit);
     EXPECT_NEAR(realized, p, 0.05) << "p " << p;
   }
-}
-
-TEST(Adversary, ReplayAttackerReplaysVerbatim) {
-  EventQueue q;
-  Rng rng(19);
-  Medium medium(q, rng);
-  std::vector<wire::MacAnnounce> seen;
-  medium.attach(
-      [&](const wire::Packet& p, SimTime) {
-        seen.push_back(std::get<wire::MacAnnounce>(p));
-      },
-      std::make_unique<PerfectChannel>());
-  sim::ReplayAttacker replayer;
-  const auto original = make_announce(1, 4);
-  replayer.observe(original);
-  EXPECT_EQ(replayer.recorded(), 1u);
-  replayer.replay_all(medium);
-  q.run();
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], original);
 }
 
 TEST(Adversary, KeyGuessForgerProducesWrongKeys) {
@@ -762,10 +725,9 @@ TEST(Medium, DuplicatedFramesCountAsExtraAirtime) {
   medium.broadcast(p);
   q.run();
   // The receiver sees both copies, and the duplicate consumed airtime
-  // attributed to the original sender exactly like the first copy.
+  // exactly like the first copy.
   EXPECT_EQ(received, 2);
   EXPECT_EQ(medium.duplicated_frames(), 1u);
-  EXPECT_EQ(medium.bits_sent_by(1), 2 * wire::wire_bits(p));
   EXPECT_EQ(medium.total_bits(), 2 * wire::wire_bits(p));
   EXPECT_EQ(count(medium, "medium.frames_duplicated"), 1u);
 }

@@ -1,5 +1,5 @@
-// Unit tests for the base TESLA protocol, the shared ChainAuthenticator,
-// and the multi-buffer stores.
+// Unit tests for the shared ChainAuthenticator and the multi-buffer
+// stores.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,9 @@
 #include <map>
 
 #include "common/rng.h"
-#include "crypto/mac.h"
+#include "crypto/keychain.h"
 #include "tesla/buffer.h"
 #include "tesla/chain_auth.h"
-#include "tesla/tesla.h"
 
 namespace dap::tesla {
 namespace {
@@ -18,19 +17,6 @@ namespace {
 using common::Bytes;
 using common::bytes_of;
 using common::Rng;
-
-TeslaConfig test_config() {
-  TeslaConfig config;
-  config.sender_id = 1;
-  config.chain_length = 32;
-  config.disclosure_delay = 2;
-  config.schedule = sim::IntervalSchedule(0, sim::kSecond);
-  return config;
-}
-
-sim::SimTime mid(std::uint32_t interval) {
-  return (interval - 1) * sim::kSecond + sim::kSecond / 2;
-}
 
 // ----------------------------------------------------- ChainAuthenticator
 
@@ -228,190 +214,6 @@ TEST(ChainAuthenticator, PruneRaisesDerivabilityFloor) {
     EXPECT_EQ(*auth.key(i), chain.key(i));
   }
   EXPECT_TRUE(auth.accept(60, chain.key(60)));
-}
-
-// ----------------------------------------------------------- TESLA sender
-
-TEST(TeslaSender, PacketCarriesMacAndDisclosure) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  const auto p = sender.make_packet(5, bytes_of("msg"));
-  EXPECT_EQ(p.interval, 5u);
-  EXPECT_EQ(p.mac.size(), 10u);
-  EXPECT_EQ(p.disclosed_interval, 3u);  // d = 2
-  EXPECT_EQ(p.disclosed_key, sender.chain().key(3));
-}
-
-TEST(TeslaSender, EarlyIntervalsHaveNoDisclosure) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  const auto p = sender.make_packet(2, bytes_of("msg"));
-  EXPECT_EQ(p.disclosed_interval, 0u);
-  EXPECT_TRUE(p.disclosed_key.empty());
-}
-
-TEST(TeslaSender, RejectsOutOfRangeInterval) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  EXPECT_THROW(sender.make_packet(0, bytes_of("m")), std::out_of_range);
-  EXPECT_THROW(sender.make_packet(33, bytes_of("m")), std::out_of_range);
-}
-
-TEST(TeslaSender, RejectsZeroDisclosureDelay) {
-  TeslaConfig config = test_config();
-  config.disclosure_delay = 0;
-  EXPECT_THROW(TeslaSender(config, bytes_of("seed")), std::invalid_argument);
-}
-
-// -------------------------------------------------------------- bootstrap
-
-TEST(TeslaBootstrap, SignatureVerifies) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  const auto bootstrap = sender.bootstrap();
-  EXPECT_TRUE(verify_bootstrap(bootstrap, bootstrap.signer_public_key));
-}
-
-TEST(TeslaBootstrap, TamperedCommitmentRejected) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  auto bootstrap = sender.bootstrap();
-  bootstrap.commitment[0] ^= 1;
-  EXPECT_FALSE(verify_bootstrap(bootstrap, bootstrap.signer_public_key));
-}
-
-TEST(TeslaBootstrap, WrongPublicKeyRejected) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  TeslaSender other(test_config(), bytes_of("other-seed"));
-  const auto bootstrap = sender.bootstrap();
-  EXPECT_FALSE(
-      verify_bootstrap(bootstrap, other.bootstrap().signer_public_key));
-}
-
-TEST(TeslaBootstrap, GarbageSignatureRejected) {
-  TeslaSender sender(test_config(), bytes_of("seed"));
-  auto bootstrap = sender.bootstrap();
-  bootstrap.signature = bytes_of("not a signature");
-  EXPECT_FALSE(verify_bootstrap(bootstrap, bootstrap.signer_public_key));
-}
-
-// ------------------------------------------------------------- end-to-end
-
-TEST(TeslaReceiver, AuthenticatesAfterDisclosure) {
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-
-  // Packet in interval 1, key disclosed by the packet of interval 3.
-  auto released =
-      receiver.receive(sender.make_packet(1, bytes_of("m1")), mid(1));
-  EXPECT_TRUE(released.empty());
-
-  released = receiver.receive(sender.make_packet(3, bytes_of("m3")), mid(3));
-  ASSERT_EQ(released.size(), 1u);
-  EXPECT_EQ(released[0].interval, 1u);
-  EXPECT_EQ(released[0].message, bytes_of("m1"));
-  EXPECT_EQ(receiver.stats().macs_verified, 1u);
-}
-
-TEST(TeslaReceiver, StreamOfPacketsAllAuthenticate) {
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-  std::size_t authenticated = 0;
-  for (std::uint32_t i = 1; i <= 20; ++i) {
-    const auto released =
-        receiver.receive(sender.make_packet(i, bytes_of("data")), mid(i));
-    authenticated += released.size();
-  }
-  // Keys for intervals 1..18 disclosed by packets 3..20.
-  EXPECT_EQ(authenticated, 18u);
-  EXPECT_EQ(receiver.stats().macs_rejected, 0u);
-}
-
-TEST(TeslaReceiver, ToleratesPacketLoss) {
-  // Losing packets only delays key disclosure; the one-way chain recovers
-  // skipped keys (TESLA's loss-tolerance property).
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-  (void)receiver.receive(sender.make_packet(1, bytes_of("m1")), mid(1));
-  // Packets of intervals 2..5 all lost; packet 6 discloses key 4, which
-  // chains down to key 1.
-  const auto released =
-      receiver.receive(sender.make_packet(6, bytes_of("m6")), mid(6));
-  ASSERT_EQ(released.size(), 1u);
-  EXPECT_EQ(released[0].interval, 1u);
-}
-
-TEST(TeslaReceiver, RejectsTamperedMessage) {
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-  auto packet = sender.make_packet(1, bytes_of("authentic"));
-  packet.message = bytes_of("tampered!");
-  (void)receiver.receive(packet, mid(1));
-  const auto released =
-      receiver.receive(sender.make_packet(3, bytes_of("m3")), mid(3));
-  EXPECT_TRUE(released.empty());
-  EXPECT_EQ(receiver.stats().macs_rejected, 1u);
-}
-
-TEST(TeslaReceiver, SafetyCheckDropsLatePackets) {
-  // A packet for interval 1 arriving during interval 4 is unsafe: its key
-  // was disclosed in interval 3 and anyone could have forged the MAC.
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-  (void)receiver.receive(sender.make_packet(1, bytes_of("late")), mid(4));
-  EXPECT_EQ(receiver.stats().packets_unsafe, 1u);
-  EXPECT_EQ(receiver.stats().packets_buffered, 0u);
-}
-
-TEST(TeslaReceiver, ReplayedPacketCannotForge) {
-  // An attacker who waits for the key disclosure and then forges a
-  // packet for the disclosed interval is stopped by the safety check.
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-  // The attacker heard packet 3 (which disclosed key 1) and now crafts a
-  // forged interval-1 packet with a valid MAC under the public key 1.
-  const Bytes key1 = sender.chain().key(1);
-  const Bytes mac_key = crypto::prf_bytes(crypto::PrfDomain::kMacKey, key1);
-  wire::TeslaPacket forged;
-  forged.sender = config.sender_id;
-  forged.interval = 1;
-  forged.message = bytes_of("forged data");
-  forged.mac = crypto::compute_mac(mac_key, forged.message, config.mac_size);
-  const auto released = receiver.receive(forged, mid(3));
-  EXPECT_TRUE(released.empty());
-  EXPECT_EQ(receiver.stats().packets_unsafe, 1u);
-}
-
-TEST(TeslaReceiver, ClockSkewTightensSafetyCheck) {
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  // 600ms max offset: a packet received 1.2s before disclosure is unsafe.
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 600 * sim::kMillisecond));
-  // Interval 1 key disclosed at t=3s (start of interval 3, d=2). At local
-  // 1.9s the sender's clock may be at 3.1s -> unsafe.
-  (void)receiver.receive(sender.make_packet(1, bytes_of("m")),
-                         1900 * sim::kMillisecond);
-  EXPECT_EQ(receiver.stats().packets_unsafe, 1u);
-}
-
-TEST(TeslaReceiver, ForgedDisclosureDoesNotAdvanceAnchor) {
-  TeslaConfig config = test_config();
-  TeslaSender sender(config, bytes_of("seed"));
-  TeslaReceiver receiver(config, sender.chain().commitment(),
-                         sim::LooseClock(0, 0));
-  auto packet = sender.make_packet(4, bytes_of("m"));
-  packet.disclosed_key = common::InlineBytes<32>(Bytes(10, 0x13));  // junk key
-  (void)receiver.receive(packet, mid(4));
-  EXPECT_EQ(receiver.latest_key_index(), 0u);
-  EXPECT_EQ(receiver.stats().keys_rejected, 1u);
 }
 
 // ------------------------------------------------------- ReservoirBuffer

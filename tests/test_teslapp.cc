@@ -188,5 +188,69 @@ TEST(TeslaPp, RejectsEmptyLocalSecret) {
                std::invalid_argument);
 }
 
+// --------------------------------------------------------- signed anchors
+
+TEST(SignedAnchor, VerifiesAgainstRoot) {
+  tesla::TeslaPpConfig config;
+  config.chain_length = 32;
+  tesla::TeslaPpSender sender(config, bytes_of("seed"));
+  const auto anchor = sender.make_anchor(10);
+  EXPECT_TRUE(tesla::verify_anchor(anchor, sender.signature_root()));
+  EXPECT_EQ(anchor.key, sender.chain().key(10));
+}
+
+TEST(SignedAnchor, TamperRejected) {
+  tesla::TeslaPpConfig config;
+  config.chain_length = 32;
+  tesla::TeslaPpSender sender(config, bytes_of("seed"));
+  auto anchor = sender.make_anchor(10);
+  anchor.key[0] ^= 1;
+  EXPECT_FALSE(tesla::verify_anchor(anchor, sender.signature_root()));
+  anchor.key[0] ^= 1;
+  anchor.interval = 11;
+  EXPECT_FALSE(tesla::verify_anchor(anchor, sender.signature_root()));
+}
+
+TEST(SignedAnchor, MidStreamBootstrapAuthenticates) {
+  tesla::TeslaPpConfig config;
+  config.chain_length = 32;
+  config.schedule = sim::IntervalSchedule(0, sim::kSecond);
+  tesla::TeslaPpSender sender(config, bytes_of("seed"));
+
+  // A node joins during interval 11, long after K_0 was useful. It gets
+  // the signed anchor for interval 10 and verifies it against the root.
+  const auto anchor = sender.make_anchor(10);
+  ASSERT_TRUE(tesla::verify_anchor(anchor, sender.signature_root()));
+  auto late_joiner = tesla::TeslaPpReceiver::from_anchor(
+      config, anchor, bytes_of("late-local"), sim::LooseClock(0, 0));
+
+  late_joiner.receive(sender.announce(11, bytes_of("fresh data")), mid(11));
+  const auto released = late_joiner.receive(sender.reveal(11), mid(12));
+  ASSERT_EQ(released.size(), 1u);
+  EXPECT_EQ(released[0].message, bytes_of("fresh data"));
+}
+
+TEST(SignedAnchor, AnchorsAreFiniteResource) {
+  tesla::TeslaPpConfig config;
+  config.chain_length = 64;
+  tesla::TeslaPpSender sender(config, bytes_of("seed"));
+  const auto initial = sender.anchors_remaining();
+  EXPECT_EQ(initial, 16u);  // Merkle height 4
+  for (std::uint32_t i = 1; i <= initial; ++i) {
+    (void)sender.make_anchor(i);
+  }
+  EXPECT_EQ(sender.anchors_remaining(), 0u);
+  EXPECT_THROW(sender.make_anchor(20), std::runtime_error);
+}
+
+TEST(SignedAnchor, CrossSenderAnchorRejected) {
+  tesla::TeslaPpConfig config;
+  config.chain_length = 16;
+  tesla::TeslaPpSender alice(config, bytes_of("alice"));
+  tesla::TeslaPpSender bob(config, bytes_of("bob"));
+  const auto anchor = alice.make_anchor(5);
+  EXPECT_FALSE(tesla::verify_anchor(anchor, bob.signature_root()));
+}
+
 }  // namespace
 }  // namespace dap::tesla
