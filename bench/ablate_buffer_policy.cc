@@ -7,8 +7,9 @@
 #include "analysis/montecarlo.h"
 #include "bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E9 — ablation: buffer policy x flood timing (p=0.85, m=4)",
       "the multiple-buffer random-selection design of Sec. IV-A",

@@ -9,8 +9,9 @@
 #include "bench_util.h"
 #include "game/sensitivity.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E16 — ablation: payoff constants (Ra, k1, k2)",
       "the Sec. VI-B.1 settings ('reference values to reflect relative "

@@ -9,8 +9,9 @@
 #include "common/stats.h"
 #include "game/bandwidth.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E11 — sender MAC bandwidth for a defence target (Fig. 5 dual)",
       "the bandwidth discussion of Sec. VI-A, sender-side reading "

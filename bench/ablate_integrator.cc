@@ -8,8 +8,9 @@
 #include "game/ess.h"
 #include "game/replicator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E10 — ablation: Euler (paper, dt=0.01) vs RK4 integration",
       "the numerical scheme of Sec. VI-B.2",

@@ -9,8 +9,9 @@
 #include "common/rng.h"
 #include "crypto/mac.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E8 — ablation: uMAC truncation length",
       "design choice of Sec. IV-B (24-bit uMAC, 56-bit records)",

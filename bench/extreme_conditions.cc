@@ -7,8 +7,9 @@
 #include "analysis/extreme.h"
 #include "bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E15 — extreme conditions: channel loss x DoS intensity (m=18)",
       "the abstract / Sec. I claim: 'works even in the extreme case'",

@@ -16,8 +16,9 @@
 #include "sim/event_queue.h"
 #include "sim/medium.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E13 — protocol family under the same memory budget (live)",
       "the Fig. 5 / Sec. VI-A comparison, re-derived by simulation",

@@ -7,8 +7,9 @@
 #include "analysis/figures.h"
 #include "bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Fig. 5 — required attacker bandwidth fraction vs attack level",
       "ICDCS'16 DAP paper, Fig. 5 (evaluation settings of Sec. VI-A)",

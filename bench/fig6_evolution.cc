@@ -8,8 +8,9 @@
 #include "bench_util.h"
 #include "game/ess.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Fig. 6 — evolution process of the evolutionary game (p = 0.8)",
       "ICDCS'16 DAP paper, Fig. 6(a)-(d) and the regime list of Sec. VI-B.2",

@@ -6,8 +6,9 @@
 #include "analysis/figures.h"
 #include "bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Fig. 8 — average defence cost at different DoS levels",
       "ICDCS'16 DAP paper, Fig. 8",

@@ -8,8 +8,9 @@
 #include "analysis/empirical.h"
 #include "bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Fig. 8 (empirical) — measured population cost, game vs naive",
       "ICDCS'16 DAP paper, Fig. 8, with protocol-level attack outcomes",

@@ -9,8 +9,9 @@
 #include "dap/dap.h"
 #include "tesla/teslapp.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Sec. VI-A — memory cost per buffered record and buffers per budget",
       "ICDCS'16 DAP paper, evaluation settings of Sec. VI-A / Sec. IV-D",

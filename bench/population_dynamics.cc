@@ -8,8 +8,9 @@
 #include "game/ess.h"
 #include "game/population.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Extension — finite-population imitation dynamics vs replicator ODE",
       "the bounded-rationality justification of Sec. V-A (nodes imitate "

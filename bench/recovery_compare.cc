@@ -6,8 +6,9 @@
 #include "analysis/recovery.h"
 #include "bench_util.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "E12 — EFTP / EDRP recovery comparison",
       "ICDCS'16 DAP paper Sec. III (claims of the authors' prior work)",

@@ -6,8 +6,9 @@
 #include "bench_util.h"
 #include "game/params.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dap;
+  bench::configure_threads(argc, argv);
   bench::banner(
       "Table II — pay-off matrix between attackers and defenders",
       "ICDCS'16 DAP paper, Table II with Ra=200, k1=20, k2=4 (Sec. VI-B)",

@@ -71,11 +71,4 @@ bool constant_time_equal(ByteView a, ByteView b) {
   return acc == 0;
 }
 
-Bytes take_prefix(ByteView data, std::size_t n) {
-  if (n > data.size()) {
-    throw std::invalid_argument("take_prefix: prefix longer than data");
-  }
-  return Bytes(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
-}
-
 }  // namespace dap::common

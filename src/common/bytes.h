@@ -121,7 +121,4 @@ bool constant_time_equal(ByteView a, ByteView b);
   return ((diff | (0 - diff)) >> 63) == 0;
 }
 
-/// First `n` bytes of `data` as a fresh buffer; throws if n > data.size().
-Bytes take_prefix(ByteView data, std::size_t n);
-
 }  // namespace dap::common

@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 namespace dap::common {
@@ -47,14 +46,6 @@ bool Rng::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return next_double() < p;
-}
-
-double Rng::exponential(double rate) {
-  if (rate <= 0.0) throw std::invalid_argument("Rng::exponential: rate <= 0");
-  double u = next_double();
-  // next_double() may return exactly 0; nudge to keep log finite.
-  if (u == 0.0) u = 0x1.0p-53;
-  return -std::log(u) / rate;
 }
 
 Bytes Rng::bytes(std::size_t n) {

@@ -42,9 +42,6 @@ class Rng {
   /// True with probability `p` (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
-  /// Exponentially distributed value with the given rate (> 0).
-  double exponential(double rate);
-
   /// `n` pseudo-random bytes (test/scenario material, not cryptographic).
   Bytes bytes(std::size_t n);
 

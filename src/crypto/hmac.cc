@@ -75,13 +75,6 @@ Digest HmacKey::mac(common::ByteView message) const noexcept {
   return h.finalize();
 }
 
-bool HmacKey::verify(common::ByteView message,
-                     common::ByteView tag) const noexcept {
-  const Digest expect = mac(message);
-  return common::constant_time_equal(
-      common::ByteView(expect.data(), expect.size()), tag);
-}
-
 Digest hmac_sha256(common::ByteView key, common::ByteView message) noexcept {
   const HmacTelemetry& telemetry = hmac_telemetry();
   obs::Registry::global().add(telemetry.calls);
@@ -105,13 +98,6 @@ Digest hmac_sha256(common::ByteView key, common::ByteView message) noexcept {
   outer.update(common::ByteView(opad.data(), opad.size()));
   outer.update(common::ByteView(inner_digest.data(), inner_digest.size()));
   return outer.finalize();
-}
-
-bool hmac_verify(common::ByteView key, common::ByteView message,
-                 common::ByteView tag) noexcept {
-  const Digest expect = hmac_sha256(key, message);
-  return common::constant_time_equal(
-      common::ByteView(expect.data(), expect.size()), tag);
 }
 
 }  // namespace dap::crypto

@@ -28,10 +28,6 @@ class HmacKey {
   /// Full 32-byte tag; identical to `hmac_sha256(key, message)`.
   [[nodiscard]] Digest mac(common::ByteView message) const noexcept;
 
-  /// Verifies in constant time.
-  [[nodiscard]] bool verify(common::ByteView message,
-                            common::ByteView tag) const noexcept;
-
   /// Midstates after absorbing the ipad/opad block (bytes == 64). The
   /// batched backend (crypto/sha256_batch.h) seeds its lanes from these.
   [[nodiscard]] const Sha256Midstate& inner_midstate() const noexcept {
@@ -48,9 +44,5 @@ class HmacKey {
 
 /// Full 32-byte HMAC-SHA-256 tag.
 Digest hmac_sha256(common::ByteView key, common::ByteView message) noexcept;
-
-/// Verifies in constant time.
-bool hmac_verify(common::ByteView key, common::ByteView message,
-                 common::ByteView tag) noexcept;
 
 }  // namespace dap::crypto

@@ -42,9 +42,14 @@ KeyChain::KeyChain(common::ByteView seed, std::size_t length,
   }
   keys_.resize(length + 1);
   // Seed becomes K_length; derive to key_size so the chain is uniform.
+  // One walk down from it yields K_{length-1} .. K_0 in that order.
   keys_[length] = prf_bytes(domain_, seed, key_size_);
-  for (std::size_t i = length; i > 0; --i) {
-    keys_[i - 1] = step(keys_[i]);
+  common::Bytes trajectory(length * key_size_);
+  prf_walk(domain_, keys_[length], key_size_, trajectory);
+  count_prf_steps(length);
+  for (std::size_t s = 0; s < length; ++s) {
+    const std::uint8_t* at = trajectory.data() + s * key_size_;
+    keys_[length - 1 - s].assign(at, at + key_size_);
   }
   DAP_ENSURE(keys_[0].size() == key_size_ && keys_[length].size() == key_size_,
              "KeyChain: every key must have the configured size");
@@ -61,32 +66,28 @@ common::Bytes KeyChain::mac_key(std::size_t i) const {
   return prf_bytes(PrfDomain::kMacKey, key(i));
 }
 
-common::Bytes KeyChain::step(common::ByteView k) const {
-  return prf_bytes(domain_, k, key_size_);
-}
-
-bool KeyChain::verify_key(std::size_t index, common::ByteView candidate,
-                          std::size_t anchor_index,
-                          common::ByteView anchor_key) const {
-  if (anchor_index >= index) return false;
-  const common::Bytes walked =
-      chain_walk(domain_, candidate, index - anchor_index, key_size_);
-  return common::constant_time_equal(walked, anchor_key);
-}
-
 common::Bytes chain_walk(PrfDomain domain, common::ByteView key,
                          std::size_t steps, std::size_t key_size) {
+  common::Bytes trajectory(steps * key_size);
+  chain_walk_trajectory(domain, key, key_size, trajectory);
+  if (steps == 0) return common::Bytes(key.begin(), key.end());
+  trajectory.erase(trajectory.begin(),
+                   trajectory.end() - static_cast<std::ptrdiff_t>(key_size));
+  return trajectory;
+}
+
+void chain_walk_trajectory(PrfDomain domain, common::ByteView key,
+                           std::size_t key_size,
+                           std::span<std::uint8_t> trajectory) {
+  DAP_REQUIRE(key.size() == key_size,
+              "chain_walk: the start key must have size key_size");
+  const std::size_t steps = trajectory.size() / key_size;
   const KeyChainTelemetry& telemetry = keychain_telemetry();
   obs::Registry::global().add(telemetry.walk_steps, steps);
+  count_prf_steps(steps);
   thread_local obs::SampleSite site;
   const obs::SampledTimer timer(telemetry.walk_latency, site);
-  common::Bytes current(key.begin(), key.end());
-  for (std::size_t s = 0; s < steps; ++s) {
-    current = prf_bytes(domain, current, key_size);
-  }
-  DAP_ENSURE(steps == 0 || current.size() == key_size,
-             "chain_walk: walked key must have the requested size");
-  return current;
+  prf_walk(domain, key, key_size, trajectory);
 }
 
 // Low-level chains are labelled by their anchor key plus the high interval

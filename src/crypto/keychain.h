@@ -6,6 +6,7 @@
 // forward in time (K_1, K_2, ...), so revealing K_i never exposes any
 // later key. Receivers hold an authenticated commitment (typically K_0)
 // and authenticate a disclosed key by walking F the right number of steps.
+// Every walk here runs the one portable step `prf_walk` (crypto/prf.h).
 //
 // `TwoLevelKeyChain` implements the multi-level μTESLA structure: a
 // high-level chain with long intervals, plus one low-level chain per
@@ -18,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -54,18 +56,6 @@ class KeyChain {
   /// key itself, or disclosing it would also disclose the MAC key early.
   [[nodiscard]] common::Bytes mac_key(std::size_t i) const;
 
-  /// One chain step: F(k) truncated to key_size.
-  [[nodiscard]] common::Bytes step(common::ByteView k) const;
-
-  /// Authenticates `candidate` as K_index against a known-authentic
-  /// (anchor_index, anchor_key) with anchor_index < index: walks
-  /// index - anchor_index steps of F and compares. This is exactly the
-  /// receiver-side "weak authentication" of disclosed keys.
-  [[nodiscard]] bool verify_key(std::size_t index,
-                                common::ByteView candidate,
-                                std::size_t anchor_index,
-                                common::ByteView anchor_key) const;
-
  private:
   PrfDomain domain_;
   std::size_t key_size_;
@@ -73,9 +63,16 @@ class KeyChain {
 };
 
 /// Stateless helper usable by receivers that never see a KeyChain object:
-/// applies `steps` iterations of the domain's one-way function.
+/// applies `steps` iterations of the domain's one-way function to the
+/// key_size-byte `key` and returns the end of the walk.
 common::Bytes chain_walk(PrfDomain domain, common::ByteView key,
                          std::size_t steps, std::size_t key_size);
+
+/// The same walk keeping every value, laid out as prf_walk lays it out
+/// (ChainAuthenticator::accept). Both forms count every step.
+void chain_walk_trajectory(PrfDomain domain, common::ByteView key,
+                           std::size_t key_size,
+                           std::span<std::uint8_t> trajectory);
 
 /// Deterministic seed of high interval i's low-level chain, given the
 /// anchor high-level key selected by the link mode. Public because

@@ -46,13 +46,6 @@ common::InlineBytes<32> compute_mac(const HmacKey& key,
   return truncate(key.mac(message), size);
 }
 
-bool verify_mac(const HmacKey& key, common::ByteView message,
-                common::ByteView tag) {
-  if (tag.empty() || tag.size() > kSha256DigestSize) return false;
-  return common::constant_time_equal(compute_mac(key, message, tag.size()),
-                                     tag);
-}
-
 std::uint32_t micro_mac_word(const HmacKey& recv_key, common::ByteView mac,
                              std::size_t size) {
   if (size == 0 || size > sizeof(std::uint32_t)) {

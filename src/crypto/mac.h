@@ -40,14 +40,12 @@ common::InlineBytes<32> micro_mac(common::ByteView recv_key,
 bool verify_mac(common::ByteView key, common::ByteView message,
                 common::ByteView tag);
 
-/// Precomputed-key overloads: same tags, but the ipad/opad midstates are
+/// Precomputed-key overload: same tags, but the ipad/opad midstates are
 /// paid once per HmacKey instead of once per call. Use for keys applied
 /// to many messages (K_recv, per-interval MAC keys during a drain).
 common::InlineBytes<32> compute_mac(const HmacKey& key,
                                     common::ByteView message,
                                     std::size_t size = kMacSize);
-bool verify_mac(const HmacKey& key, common::ByteView message,
-                common::ByteView tag);
 
 /// The same μMAC as micro_mac(), read big-endian into an integer: a
 /// receiver's packed record holds it next to the 32-bit index without a

@@ -1,8 +1,10 @@
 #include "crypto/prf.h"
 
 #include <array>
+#include <cstring>
 #include <stdexcept>
 
+#include "common/contracts.h"
 #include "crypto/hmac.h"
 #include "obs/scoped_timer.h"
 
@@ -22,6 +24,32 @@ const PrfTelemetry& prf_telemetry() {
     return PrfTelemetry{reg.counter("crypto.prf_calls"),
                         reg.histogram("crypto.prf_us")};
   });
+}
+
+// Counters only: a walk registers no latency histogram it never writes.
+struct PrfStepTelemetry {
+  obs::CounterHandle prf_calls;
+  obs::CounterHandle hmac_calls;
+  obs::CounterHandle hmac_midstate_hits;
+};
+
+const PrfStepTelemetry& prf_step_telemetry() {
+  thread_local obs::PerRegistryCache<PrfStepTelemetry> cache;
+  return cache.get([](obs::Registry& reg) {
+    return PrfStepTelemetry{reg.counter("crypto.prf_calls"),
+                            reg.counter("crypto.hmac_calls"),
+                            reg.counter("crypto.hmac_midstate_hits")};
+  });
+}
+
+void store_digest(const std::array<std::uint32_t, 8>& state,
+                  std::uint8_t* out) noexcept {
+  for (std::size_t v = 0; v < 8; ++v) {
+    out[4 * v] = static_cast<std::uint8_t>(state[v] >> 24);
+    out[4 * v + 1] = static_cast<std::uint8_t>(state[v] >> 16);
+    out[4 * v + 2] = static_cast<std::uint8_t>(state[v] >> 8);
+    out[4 * v + 3] = static_cast<std::uint8_t>(state[v]);
+  }
 }
 }  // namespace
 
@@ -80,6 +108,49 @@ common::Bytes prf_bytes(PrfDomain domain, common::ByteView input,
   }
   const Digest d = prf(domain, input);
   return common::Bytes(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(out_len));
+}
+
+std::array<std::uint8_t, kSha256BlockSize> prf_tail_block(
+    std::size_t len) noexcept {
+  std::array<std::uint8_t, kSha256BlockSize> block{};
+  block[len] = 0x80;
+  const std::uint64_t bits = (kSha256BlockSize + len) * 8;
+  for (std::size_t i = 0; i < 8; ++i) {
+    block[kSha256BlockSize - 8 + i] =
+        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  }
+  return block;
+}
+
+void prf_walk(PrfDomain domain, common::ByteView start, std::size_t key_size,
+              std::span<std::uint8_t> trajectory) {
+  DAP_REQUIRE(key_size >= 1 && key_size <= kSha256DigestSize,
+              "prf_walk: key_size must be in [1, 32]");
+  DAP_REQUIRE(start.size() == key_size && trajectory.size() % key_size == 0,
+              "prf_walk: start and trajectory must hold whole keys");
+  const HmacKey& key = prf_key(domain);
+  auto inner = prf_tail_block(key_size);
+  auto outer = prf_tail_block(kSha256DigestSize);
+  std::memcpy(inner.data(), start.data(), key_size);
+  for (std::size_t at = 0; at < trajectory.size(); at += key_size) {
+    std::array<std::uint32_t, 8> state = key.inner_midstate().state;
+    sha256_compress_blocks(state.data(), inner.data(), 1);
+    store_digest(state, outer.data());
+    state = key.outer_midstate().state;
+    sha256_compress_blocks(state.data(), outer.data(), 1);
+    Digest digest;
+    store_digest(state, digest.data());
+    std::memcpy(trajectory.data() + at, digest.data(), key_size);
+    std::memcpy(inner.data(), digest.data(), key_size);
+  }
+}
+
+void count_prf_steps(std::uint64_t steps) {
+  const PrfStepTelemetry& telemetry = prf_step_telemetry();
+  obs::Registry& reg = obs::Registry::global();
+  reg.add(telemetry.prf_calls, steps);
+  reg.add(telemetry.hmac_calls, steps);
+  reg.add(telemetry.hmac_midstate_hits, steps);
 }
 
 }  // namespace dap::crypto

@@ -8,8 +8,12 @@
 // key), and H (the CDM image function of EDRP). Independence is obtained
 // by HMAC with a fixed per-domain label, which is the standard PRF
 // construction.
+// `prf_walk` is the one portable chain step every key chain walk runs;
+// only the AVX2 lockstep kernel (crypto/sha256_batch.h) differs.
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "common/bytes.h"
@@ -46,5 +50,21 @@ Digest prf(PrfDomain domain, common::ByteView input) noexcept;
 /// Throws std::invalid_argument if out_len > 32 or 0.
 common::Bytes prf_bytes(PrfDomain domain, common::ByteView input,
                         std::size_t out_len = kSha256DigestSize);
+
+/// Final block of one HMAC half of a chain step over a `len`-byte (<= 32)
+/// message after the pad block: message space, 0x80, then the bit length.
+std::array<std::uint8_t, kSha256BlockSize> prf_tail_block(
+    std::size_t len) noexcept;
+
+/// Writes the value after s + 1 applications of prf_bytes(domain, .,
+/// key_size) to the key_size-byte `start` into bytes [s * key_size,
+/// (s + 1) * key_size) of `trajectory`. A step is two compressions on fixed
+/// tail blocks resumed from prf_key(domain)'s midstates. Counts nothing.
+void prf_walk(PrfDomain domain, common::ByteView start, std::size_t key_size,
+              std::span<std::uint8_t> trajectory);
+
+/// Adds `steps` to crypto.prf_calls, crypto.hmac_calls and
+/// crypto.hmac_midstate_hits: what `steps` prf_bytes calls would count.
+void count_prf_steps(std::uint64_t steps);
 
 }  // namespace dap::crypto

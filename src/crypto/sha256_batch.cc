@@ -27,9 +27,6 @@ struct BatchTelemetry {
   obs::CounterHandle blocks;
   obs::CounterHandle idle_blocks;
   obs::GaugeHandle occupancy;
-  obs::CounterHandle hmac_calls;
-  obs::CounterHandle hmac_midstate_hits;
-  obs::CounterHandle prf_calls;
   obs::CounterHandle chain_walk_steps;
 };
 
@@ -43,12 +40,32 @@ const BatchTelemetry& batch_telemetry() {
                           reg.counter("crypto.batch.blocks"),
                           reg.counter("crypto.batch.idle_lane_blocks"),
                           reg.gauge("crypto.batch.lane_occupancy_pct"),
-                          reg.counter("crypto.hmac_calls"),
-                          reg.counter("crypto.hmac_midstate_hits"),
-                          reg.counter("crypto.prf_calls"),
                           reg.counter("crypto.chain_walk_steps")};
   });
 }
+
+struct WalkTally {
+  std::uint64_t steps = 0;
+  std::uint64_t busy = 0;  // block compressions on live walks
+  std::uint64_t idle = 0;  // block compressions on unoccupied lanes
+};
+
+// 1-lane backends (scalar, shani): one walk after another on the
+// portable chain step.
+WalkTally walk_each(PrfDomain domain, std::span<const common::Bytes> start,
+                    std::span<const std::uint32_t> steps,
+                    std::size_t key_size,
+                    std::vector<common::Bytes>& trajectories) {
+  WalkTally tally;
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    prf_walk(domain, start[i], key_size, trajectories[i]);
+    tally.steps += steps[i];
+  }
+  tally.busy = 2 * tally.steps;
+  return tally;
+}
+
+#if defined(DAP_CRYPTO_HAVE_AVX2)
 
 void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
   p[0] = static_cast<std::uint8_t>(v >> 24);
@@ -59,67 +76,9 @@ void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
 
 using Block = std::array<std::uint8_t, kSha256BlockSize>;
 
-// The padded final block of an HMAC half whose message is `len` bytes
-// resumed after one pad block: zeros where the message goes, then 0x80
-// and the bit length of pad + message.
-Block tail_block(std::size_t len) noexcept {
-  Block block{};
-  block[len] = 0x80;
-  const std::uint64_t bits = (kSha256BlockSize + len) * 8;
-  for (std::size_t i = 0; i < 8; ++i) {
-    block[kSha256BlockSize - 8 + i] =
-        static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-  }
-  return block;
-}
-
-struct WalkTally {
-  std::uint64_t steps = 0;
-  std::uint64_t busy = 0;  // block compressions on live walks
-  std::uint64_t idle = 0;  // block compressions on unoccupied lanes
-};
-
-// Every step is exactly 2 compressions, both resumed from the cached pad
-// midstates: the inner tail block (key_size <= 32 bytes + padding) and
-// the outer tail block (32-byte inner digest + padding).
-
-// 1-lane backends (scalar, shani): one walk after another on the
-// streaming kernel.
-WalkTally walk_each(const HmacKey& key, std::span<const common::Bytes> start,
-                    std::span<const std::uint32_t> steps,
-                    std::size_t key_size,
-                    std::vector<common::Bytes>& trajectories) {
-  Block inner = tail_block(key_size);
-  Block outer = tail_block(kSha256DigestSize);
-  WalkTally tally;
-  for (std::size_t i = 0; i < start.size(); ++i) {
-    std::uint8_t* out = trajectories[i].data();
-    std::memcpy(inner.data(), start[i].data(), key_size);
-    for (std::uint32_t s = 0; s < steps[i]; ++s) {
-      std::array<std::uint32_t, 8> state = key.inner_midstate().state;
-      sha256_compress_blocks(state.data(), inner.data(), 1);
-      for (std::size_t v = 0; v < 8; ++v) {
-        store_be32(outer.data() + 4 * v, state[v]);
-      }
-      state = key.outer_midstate().state;
-      sha256_compress_blocks(state.data(), outer.data(), 1);
-      std::array<std::uint8_t, kSha256DigestSize> digest;
-      for (std::size_t v = 0; v < 8; ++v) {
-        store_be32(digest.data() + 4 * v, state[v]);
-      }
-      std::memcpy(out + std::size_t{s} * key_size, digest.data(), key_size);
-      std::memcpy(inner.data(), digest.data(), key_size);
-    }
-    tally.steps += steps[i];
-  }
-  tally.busy = 2 * tally.steps;
-  return tally;
-}
-
-#if defined(DAP_CRYPTO_HAVE_AVX2)
-
-// `avx2`: kSha256Lanes walks in lockstep on the 8-lane kernel. A lane is
-// refilled the moment its walk finishes, so occupancy stays high even
+// `avx2`: kSha256Lanes walks in lockstep on the 8-lane kernel, each step
+// the same two compressions prf_walk runs on the same tail blocks. A lane
+// is refilled the moment its walk finishes, so occupancy stays high even
 // with uneven gap sizes; unoccupied lanes replay a live lane's block and
 // their states are discarded.
 WalkTally walk_lockstep(const HmacKey& key,
@@ -137,8 +96,8 @@ WalkTally walk_lockstep(const HmacKey& key,
   };
   std::array<Lane, kSha256Lanes> lane;
   for (Lane& l : lane) {
-    l.inner_block = tail_block(key_size);
-    l.outer_block = tail_block(kSha256DigestSize);
+    l.inner_block = prf_tail_block(key_size);
+    l.outer_block = prf_tail_block(kSha256DigestSize);
   }
 
   WalkTally tally;
@@ -248,14 +207,15 @@ void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
     trajectories[i].resize(std::size_t{steps[i]} * key_size);
   }
 
-  const HmacKey& key = prf_key(domain);
 #if defined(DAP_CRYPTO_HAVE_AVX2)
   const WalkTally tally =
       active_sha256_backend() == Sha256Backend::kAvx2
-          ? walk_lockstep(key, start, steps, key_size, trajectories)
-          : walk_each(key, start, steps, key_size, trajectories);
+          ? walk_lockstep(prf_key(domain), start, steps, key_size,
+                          trajectories)
+          : walk_each(domain, start, steps, key_size, trajectories);
 #else
-  const WalkTally tally = walk_each(key, start, steps, key_size, trajectories);
+  const WalkTally tally =
+      walk_each(domain, start, steps, key_size, trajectories);
 #endif
 
   const BatchTelemetry& telemetry = batch_telemetry();
@@ -264,10 +224,8 @@ void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
   reg.add(telemetry.messages, n);
   reg.add(telemetry.blocks, tally.busy);
   if (tally.idle > 0) reg.add(telemetry.idle_blocks, tally.idle);
-  reg.add(telemetry.prf_calls, tally.steps);
-  reg.add(telemetry.hmac_calls, tally.steps);
-  reg.add(telemetry.hmac_midstate_hits, tally.steps);
   reg.add(telemetry.chain_walk_steps, tally.steps);
+  count_prf_steps(tally.steps);
 }
 
 void publish_lane_occupancy() {

@@ -5,10 +5,11 @@
 // is an independent walk down the one-way chain. `prf_walk_many` runs
 // those walks: under the `avx2` backend it keeps 8 walks in lockstep,
 // one per 32-bit lane of the AVX2 kernel; under `scalar` and `shani` it
-// walks them one after another on the streaming kernel. The scalar
-// `sha256_compress` stays the reference oracle, and every output here is
-// bitwise identical to it for every backend and batch shape; the test
-// suite and the fuzz harness enforce that exactly.
+// walks them one after another on the one portable chain step,
+// `prf_walk` (crypto/prf.h). The scalar `sha256_compress` stays the
+// reference oracle, and every output here is bitwise identical to it for
+// every backend and batch shape; the test suite and the fuzz harness
+// enforce that exactly.
 //
 // Layering: this header sits *below* dap/tesla/fleet (they call down into
 // it, never the reverse) and is its own `crypto_batch` node in the lint
@@ -56,8 +57,7 @@ void sha256_compress_lanes(
 /// key_size). Each start value must already have size key_size. This is
 /// the workhorse of batched TESLA chain verification
 /// (ChainAuthenticator::accept_many); step counts feed the same
-/// crypto.prf_calls / crypto.chain_walk_steps counters as the scalar
-/// chain_walk path.
+/// crypto.prf_calls / crypto.chain_walk_steps counters as chain_walk.
 void prf_walk_many(PrfDomain domain, std::span<const common::Bytes> start,
                    std::span<const std::uint32_t> steps, std::size_t key_size,
                    std::vector<common::Bytes>& trajectories);

@@ -260,7 +260,11 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::receive(
     const wire::MessageReveal& packet, sim::SimTime local_now) {
   DAP_REQUIRE(config_.disclosure_delay > 0,
               "DapReceiver::receive: receiver must be configured");
-  return process_reveal(packet, local_now, nullptr);
+  // A one-reveal drain: the same path, with the scalar weak-auth walk in
+  // place of the batched one.
+  BatchContext batch;
+  const bool weak_ok = auth_.accept(packet.interval, packet.key);
+  return process_reveal(packet, local_now, batch, weak_ok);
 }
 
 void DapReceiver::enqueue(const wire::MessageReveal& packet) {
@@ -296,8 +300,7 @@ DapReceiver::drain_pending_batch(sim::SimTime local_now) {
   DAP_INVARIANT(verdicts.size() == packets.size(),
                 "drain_pending_batch: one weak-auth verdict per reveal");
   for (std::size_t k = 0; k < packets.size(); ++k) {
-    const bool weak_ok = verdicts[k];
-    out.push_back(process_reveal(packets[k], local_now, &batch, &weak_ok));
+    out.push_back(process_reveal(packets[k], local_now, batch, verdicts[k]));
     last_drain_verdicts_.push_back(last_verdict_);
   }
   return out;
@@ -305,7 +308,7 @@ DapReceiver::drain_pending_batch(sim::SimTime local_now) {
 
 std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
     const wire::MessageReveal& packet, sim::SimTime local_now,
-    BatchContext* batch, const bool* precomputed_accept) {
+    BatchContext& batch, bool weak_ok) {
   auto& reg = obs::Registry::global();
   thread_local obs::SampleSite site;
   const obs::SampledTimer timer(reg, telemetry_.rx_reveal_latency, site);
@@ -314,14 +317,10 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
   obs::Tracer::global().record(obs::TraceKind::kReveal, local_now,
                                packet.interval);
   tick(local_now);
-  // Algorithm 2 line 16: weak authentication of the disclosed key. Never
-  // cached across a batch — same-interval reveals can carry different
-  // key bytes, and each candidate must be judged on its own (batched
-  // drains judge the whole queue upfront via accept_many and hand the
-  // per-reveal verdict in here).
-  const bool weak_ok = precomputed_accept != nullptr
-                           ? *precomputed_accept
-                           : auth_.accept(packet.interval, packet.key);
+  // Algorithm 2 line 16: weak authentication of the disclosed key, judged
+  // by the caller. Never cached across a batch — same-interval reveals
+  // can carry different key bytes, and each candidate is judged on its
+  // own.
   if (!weak_ok) {
     ++stats_.weak_auth_failures;
     reg.add(telemetry_.weak_auth_failures);
@@ -336,13 +335,8 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
   // In a batch the interval's MAC key F'(K_i) is derived once and shared
   // by every reveal of that interval (the key is authentic regardless of
   // which reveal's bytes authenticated it).
-  std::optional<crypto::HmacKey> local_key;
-  const crypto::HmacKey* cached = nullptr;
-  if (batch != nullptr) {
-    const auto it = batch->mac_keys.find(packet.interval);
-    if (it != batch->mac_keys.end()) cached = &it->second;
-  }
-  if (cached == nullptr) {
+  auto cached = batch.mac_keys.find(packet.interval);
+  if (cached == batch.mac_keys.end()) {
     auto derived = auth_.mac_key(packet.interval);
     if (!derived.has_value()) {
       // accept() passed, so the key chain reached this interval once,
@@ -356,17 +350,12 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
     }
     ++stats_.mac_key_derivations;
     reg.add(telemetry_.mac_key_derivations);
-    if (batch != nullptr) {
-      cached = &batch->mac_keys
-                    .try_emplace(packet.interval, crypto::HmacKey(*derived))
-                    .first->second;
-    } else {
-      local_key.emplace(common::ByteView(*derived));
-      cached = &*local_key;
-    }
+    cached = batch.mac_keys
+                 .try_emplace(packet.interval, crypto::HmacKey(*derived))
+                 .first;
   }
   const common::InlineBytes<32> expected_mac =
-      crypto::compute_mac(*cached, packet.message, config_.mac_size);
+      crypto::compute_mac(cached->second, packet.message, config_.mac_size);
   const std::uint64_t expected = record_of(expected_mac, packet.interval);
 
   const auto buf_it = buffers_.find(packet.interval);

@@ -13,7 +13,10 @@
 // (M_i, K_i, i): weak authentication checks the key against the chain
 // (h(K_i) = K_{i-1} generalized to a multi-step walk); strong
 // authentication recomputes μMAC' = MAC_{K_recv}(MAC_{K_i}(M_i)) and
-// accepts M_i iff some stored record matches.
+// accepts M_i iff some stored record matches. A reveal takes one path
+// whether it arrives through receive() or a drain: receive() is a
+// one-reveal drain that judges the key with ChainAuthenticator::accept
+// where drain_pending_batch() uses accept_many.
 //
 // The buffer policy is pluggable (reservoir / naive-drop / always-replace)
 // for ablation E9; the paper's protocol is the reservoir policy. The
@@ -238,13 +241,13 @@ class DapReceiver {
     std::map<std::uint32_t, crypto::HmacKey> mac_keys;
   };
 
-  /// Shared reveal path: receive() passes no context (derive per
-  /// reveal), drain_pending_batch() passes one per drain plus the
-  /// pre-batched weak-auth verdict from ChainAuthenticator::accept_many
-  /// (null = run the scalar accept inline).
+  /// The one reveal path, after weak authentication: receive() passes a
+  /// one-reveal context and ChainAuthenticator::accept's verdict,
+  /// drain_pending_batch() one context per drain and the verdicts of
+  /// ChainAuthenticator::accept_many.
   std::optional<tesla::AuthenticatedMessage> process_reveal(
       const wire::MessageReveal& packet, sim::SimTime local_now,
-      BatchContext* batch, const bool* precomputed_accept = nullptr);
+      BatchContext& batch, bool weak_ok);
 
   /// Degradation policy: true when the offer must be shed because the
   /// record pool is saturated; adjusts effective_buffers_ both ways.

@@ -67,15 +67,6 @@ Topology ScenarioSpec::build_topology() const {
   throw std::invalid_argument("ScenarioSpec: unknown topology kind");
 }
 
-std::uint64_t ScenarioSpec::total_members() const {
-  const Topology topo = build_topology();
-  const std::uint64_t cohorts =
-      cohorts_at_leaves_only
-          ? static_cast<std::uint64_t>(topo.leaves().size())
-          : static_cast<std::uint64_t>(topo.node_count) - 1;
-  return cohorts * members_per_cohort;
-}
-
 std::string ScenarioSpec::id() const {
   std::string shape;
   switch (kind) {

@@ -179,9 +179,6 @@ struct ScenarioSpec {
   /// Builds the relay graph this spec describes (validated).
   [[nodiscard]] Topology build_topology() const;
 
-  /// Total receivers the scenario simulates (cohort count x members).
-  [[nodiscard]] std::uint64_t total_members() const;
-
   /// Compact identifier for CSV rows and the bench metrics footer, e.g.
   /// "tree_d3f4_m1200_p0.5".
   [[nodiscard]] std::string id() const;

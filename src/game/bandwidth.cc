@@ -46,11 +46,4 @@ double sender_mac_bandwidth_required(double P_def, std::size_t m, double xa) {
   return xa * (1.0 - p_star) / p_star;
 }
 
-double defense_success(double p, std::size_t m) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("defense_success: p in [0,1]");
-  }
-  return 1.0 - std::pow(p, static_cast<double>(m));
-}
-
 }  // namespace dap::game

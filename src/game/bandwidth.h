@@ -33,7 +33,4 @@ double attacker_bandwidth_required(double P, std::size_t m, double xd);
 /// Returns +inf when the target is unreachable (P_def == 1).
 double sender_mac_bandwidth_required(double P_def, std::size_t m, double xa);
 
-/// Defence success probability 1 - p^m.
-double defense_success(double p, std::size_t m);
-
 }  // namespace dap::game

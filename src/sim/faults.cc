@@ -19,14 +19,6 @@ bool FaultSchedule::active(SimTime now) const noexcept {
   return false;
 }
 
-SimTime FaultSchedule::last_clear() const noexcept {
-  SimTime clear = 0;
-  for (const Window& w : windows_) {
-    if (w.end > clear) clear = w.end;
-  }
-  return clear;
-}
-
 JitterLink::JitterLink(SimTime base, SimTime max_extra,
                        std::shared_ptr<const FaultSchedule> schedule,
                        const EventQueue* clock)

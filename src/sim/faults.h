@@ -34,10 +34,6 @@ class FaultSchedule {
 
   [[nodiscard]] bool active(SimTime now) const noexcept;
 
-  /// End of the last scheduled window (0 when empty). After this instant
-  /// the fault never fires again — reconvergence clocks start here.
-  [[nodiscard]] SimTime last_clear() const noexcept;
-
   [[nodiscard]] std::size_t windows() const noexcept {
     return windows_.size();
   }

@@ -1,5 +1,6 @@
 #include "tesla/chain_auth.h"
 
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -30,49 +31,91 @@ ChainAuthenticator::ChainAuthenticator(crypto::PrfDomain domain,
 }
 
 bool ChainAuthenticator::accept(std::uint32_t i, common::ByteView key) {
-  // rejected_ counts reveals *proven* inconsistent with the chain, on
-  // every mismatch path (anchor, below-anchor, above-anchor walk).
-  // Malformed (empty) keys and pruned indices return false uncounted:
-  // neither is evidence of forgery — one is a framing error, the other
-  // is unverifiable, exactly as a cache miss was before checkpointing.
-  if (key.empty()) return false;
-  if (i == anchor_index_) {
-    // The anchor survives any prune, so it always verifies directly.
-    if (!common::constant_time_equal(anchor_key_, key)) {
-      ++rejected_;
-      return false;
-    }
-    return true;
-  }
-  if (i < anchor_index_) {
-    // Below-anchor reveals re-derive the authentic key instead of
-    // looking it up.
-    if (i < floor_index_) return false;
-    if (!common::constant_time_equal(derive(i), key)) {
-      ++rejected_;
-      return false;
-    }
-    return true;
-  }
   // One downward pass from the candidate to the anchor: verifies the
-  // chain AND collects the checkpoints, where the pre-checkpoint code
-  // paid a second full walk to populate its every-key cache.
-  const std::uint32_t old_anchor = anchor_index_;
-  std::vector<std::pair<std::uint32_t, common::Bytes>> checkpoints;
-  common::Bytes current(key.begin(), key.end());
-  for (std::uint32_t j = i; j > old_anchor; --j) {
-    if (j == i || j % stride_ == 0) {
-      checkpoints.emplace_back(j, current);
-    }
-    current = crypto::chain_walk(domain_, current, 1, key_size_);
-    ++walk_steps_;
+  // chain AND yields the checkpoints the judge installs.
+  common::Bytes trajectory;
+  if (key.size() == key_size_ && i > anchor_index_) {
+    trajectory.resize(std::size_t{i - anchor_index_} * key_size_);
+    crypto::chain_walk_trajectory(domain_, key, key_size_, trajectory);
+    walk_steps_ += i - anchor_index_;
   }
-  if (!common::constant_time_equal(current, anchor_key_)) {
+  return judge(i, key, trajectory);
+}
+
+std::vector<bool> ChainAuthenticator::accept_many(
+    std::span<const KeyReveal> reveals) {
+  // Walk every unique above-anchor candidate of the chain's key size
+  // down to the *pre-batch* anchor through the multi-lane backend,
+  // capturing the full trajectory (value after every step). Earlier
+  // accepts in this batch may advance the anchor, which only shortens
+  // the part of a trajectory the judge reads.
+  constexpr std::size_t kNoWalk = SIZE_MAX;
+  const std::uint32_t anchor0 = anchor_index_;
+  std::map<std::pair<std::uint32_t, common::Bytes>, std::size_t> unique_of;
+  std::vector<std::size_t> walk_of(reveals.size(), kNoWalk);
+  std::vector<common::Bytes> starts;
+  std::vector<std::uint32_t> gaps;
+  for (std::size_t k = 0; k < reveals.size(); ++k) {
+    const KeyReveal& r = reveals[k];
+    if (r.key.size() != key_size_ || r.interval <= anchor0) continue;
+    common::Bytes key(r.key.begin(), r.key.end());
+    const auto [it, inserted] =
+        unique_of.try_emplace({r.interval, std::move(key)}, starts.size());
+    if (inserted) {
+      starts.push_back(it->first.second);
+      gaps.push_back(r.interval - anchor0);
+    }
+    walk_of[k] = it->second;
+  }
+  std::vector<common::Bytes> traj;
+  if (!starts.empty()) {
+    crypto::prf_walk_many(domain_, starts, gaps, key_size_, traj);
+    for (const std::uint32_t gap : gaps) walk_steps_ += gap;
+  }
+
+  std::vector<bool> verdicts;
+  verdicts.reserve(reveals.size());
+  for (std::size_t k = 0; k < reveals.size(); ++k) {
+    const common::ByteView t =
+        walk_of[k] == kNoWalk ? common::ByteView{} : traj[walk_of[k]];
+    verdicts.push_back(judge(reveals[k].interval, reveals[k].key, t));
+  }
+  return verdicts;
+}
+
+bool ChainAuthenticator::judge(std::uint32_t i, common::ByteView key,
+                               common::ByteView trajectory) {
+  // rejected_ counts reveals *proven* inconsistent with the chain, on
+  // every mismatch path (size, anchor, below-anchor, above-anchor walk).
+  // Malformed (empty) keys and indices below the floor return false
+  // uncounted: neither is evidence of forgery — one is a framing error,
+  // the other is unverifiable.
+  if (key.empty() || i < floor_index_) return false;
+  const std::uint32_t old_anchor = anchor_index_;
+  // The value `steps` one-way steps below the candidate K_i.
+  const auto below = [&](std::uint32_t steps) {
+    return trajectory.subspan(std::size_t{steps - 1} * key_size_, key_size_);
+  };
+  const auto consistent = [&] {
+    if (key.size() != key_size_) return false;  // no chain key has this size
+    // The anchor always verifies directly; below it the authentic key is
+    // re-derived from the nearest checkpoint instead of looked up.
+    if (i == old_anchor) return common::constant_time_equal(anchor_key_, key);
+    if (i < old_anchor) return common::constant_time_equal(derive(i), key);
+    DAP_INVARIANT(i - old_anchor <= trajectory.size() / key_size_,
+                  "ChainAuthenticator: trajectory must reach the anchor");
+    return common::constant_time_equal(below(i - old_anchor), anchor_key_);
+  };
+  if (!consistent()) {
     ++rejected_;
     return false;
   }
-  for (auto& [index, checkpoint_key] : checkpoints) {
-    known_[index] = std::move(checkpoint_key);
+  if (i <= old_anchor) return true;
+  for (std::uint32_t j = i; j > old_anchor; --j) {
+    if (j == i || j % stride_ == 0) {
+      const common::ByteView k = j == i ? key : below(i - j);
+      known_[j] = common::Bytes(k.begin(), k.end());
+    }
   }
   anchor_index_ = i;
   anchor_key_ = known_[i];
@@ -84,102 +127,6 @@ bool ChainAuthenticator::accept(std::uint32_t i, common::ByteView key) {
   DAP_ENSURE(known_.count(anchor_index_) == 1,
              "ChainAuthenticator: accepted key missing from the cache");
   return true;
-}
-
-std::vector<bool> ChainAuthenticator::accept_many(
-    std::span<const KeyReveal> reveals) {
-  std::vector<bool> verdicts;
-  verdicts.reserve(reveals.size());
-
-  // Phase 1: walk every unique above-anchor candidate of the chain's key
-  // size down to the *pre-batch* anchor through the multi-lane backend,
-  // capturing the full trajectory (value after every step). Candidates
-  // of any other size (malformed/adversarial) fall back to the scalar
-  // accept() during replay, so outcomes stay exact.
-  const std::uint32_t anchor0 = anchor_index_;
-  std::map<std::pair<std::uint32_t, common::Bytes>, std::size_t> unique_of;
-  std::vector<common::Bytes> starts;
-  std::vector<std::uint32_t> gaps;
-  for (const KeyReveal& r : reveals) {
-    if (r.key.empty() || r.interval <= anchor0) continue;
-    if (r.key.size() != key_size_) continue;
-    common::Bytes key(r.key.begin(), r.key.end());
-    const auto [it, inserted] =
-        unique_of.try_emplace({r.interval, std::move(key)}, starts.size());
-    if (inserted) {
-      starts.push_back(it->first.second);
-      gaps.push_back(r.interval - anchor0);
-    }
-  }
-  std::vector<common::Bytes> traj;
-  if (!starts.empty()) {
-    crypto::prf_walk_many(domain_, starts, gaps, key_size_, traj);
-    for (const std::uint32_t gap : gaps) walk_steps_ += gap;
-  }
-
-  // Phase 2: replay the queue in order. This is accept()'s exact logic,
-  // with every chain step replaced by a trajectory lookup: the value j
-  // steps below candidate K_i is key j - 1 of traj[u], so the compare
-  // against the *current* anchor (which earlier accepts in this very
-  // batch may have advanced) is key i - anchor - 1.
-  for (const KeyReveal& r : reveals) {
-    const std::uint32_t i = r.interval;
-    if (r.key.empty()) {
-      verdicts.push_back(false);
-      continue;
-    }
-    if (i == anchor_index_) {
-      const bool ok = common::constant_time_equal(anchor_key_, r.key);
-      if (!ok) ++rejected_;
-      verdicts.push_back(ok);
-      continue;
-    }
-    if (i < anchor_index_) {
-      if (i < floor_index_) {
-        verdicts.push_back(false);
-        continue;
-      }
-      const bool ok = common::constant_time_equal(derive(i), r.key);
-      if (!ok) ++rejected_;
-      verdicts.push_back(ok);
-      continue;
-    }
-    const auto it =
-        unique_of.find({i, common::Bytes(r.key.begin(), r.key.end())});
-    if (it == unique_of.end()) {
-      // Key size mismatch: the scalar path handles it bit-for-bit.
-      verdicts.push_back(accept(i, r.key));
-      continue;
-    }
-    const common::ByteView t(traj[it->second]);
-    const auto below = [&](std::uint32_t steps) {
-      return t.subspan(std::size_t{steps - 1} * key_size_, key_size_);
-    };
-    const std::uint32_t old_anchor = anchor_index_;
-    const std::uint32_t gap_now = i - old_anchor;
-    DAP_INVARIANT(gap_now >= 1 && gap_now <= t.size() / key_size_,
-                  "accept_many: trajectory must reach the current anchor");
-    if (!common::constant_time_equal(below(gap_now), anchor_key_)) {
-      ++rejected_;
-      verdicts.push_back(false);
-      continue;
-    }
-    for (std::uint32_t j = i; j > old_anchor; --j) {
-      if (j == i || j % stride_ == 0) {
-        const common::ByteView k = j == i ? r.key : below(i - j);
-        known_[j] = common::Bytes(k.begin(), k.end());
-      }
-    }
-    anchor_index_ = i;
-    anchor_key_ = known_[i];
-    ++accepted_;
-    DAP_ENSURE(anchor_index_ > old_anchor,
-               "ChainAuthenticator: anchor index must advance monotonically");
-    DAP_ENSURE(known_.count(anchor_index_) == 1,
-               "ChainAuthenticator: accepted key missing from the cache");
-    verdicts.push_back(true);
-  }
-  return verdicts;
 }
 
 common::Bytes ChainAuthenticator::derive(std::uint32_t i) const {
@@ -211,15 +158,6 @@ void ChainAuthenticator::rebase_to_newest() {
   known_.clear();
   known_[anchor_index_] = anchor_key_;
   floor_index_ = anchor_index_;
-}
-
-void ChainAuthenticator::prune_below(std::uint32_t floor) {
-  if (floor > floor_index_) floor_index_ = floor;
-  auto it = known_.begin();
-  while (it != known_.end() && it->first < floor) {
-    if (it->first == anchor_index_) break;
-    it = known_.erase(it);
-  }
 }
 
 }  // namespace dap::tesla

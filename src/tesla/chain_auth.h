@@ -5,7 +5,9 @@
 //
 // Holds the newest authentic (index, key) anchor and accepts a candidate
 // K_i by walking the one-way function i - anchor steps ("weak
-// authentication" in the paper's terms). Instead of caching every
+// authentication" in the paper's terms, Algorithm 2 line 16). `accept`
+// and `accept_many` differ only in how they walk; one private judge
+// rules on every trajectory. Instead of caching every
 // intermediate key, the accept walk records a *checkpoint* every
 // `checkpoint_stride` intervals, so verifying a key disclosed after an
 // n-interval gap costs the same n hashes it always did but only
@@ -45,7 +47,8 @@ class ChainAuthenticator {
                      std::uint32_t checkpoint_stride = kDefaultCheckpointStride);
 
   /// Tries to accept `key` as K_i. Returns true if `key` is authentic
-  /// (consistent with the anchor). Idempotent for already-known keys.
+  /// (consistent with the anchor). Idempotent for already-known keys. A
+  /// key whose size is not the chain's key size is rejected unwalked.
   bool accept(std::uint32_t i, common::ByteView key);
 
   /// Batched accept: verdicts and resulting state (anchor, checkpoints,
@@ -54,7 +57,7 @@ class ChainAuthenticator {
   /// gap walks run through the multi-lane batched backend
   /// (crypto/sha256_batch.h): every unique candidate is walked down to
   /// the pre-batch anchor once, lanes in lockstep, and the in-order
-  /// replay then only compares against the captured trajectories.
+  /// judging then only compares against the captured trajectories.
   /// walk_steps() accounting differs from the sequential path by design:
   /// it counts the actual lane work (one full walk per unique candidate
   /// to the pre-batch anchor), which is deterministic across backends,
@@ -62,7 +65,7 @@ class ChainAuthenticator {
   std::vector<bool> accept_many(std::span<const KeyReveal> reveals);
 
   /// Authentic key K_i if derivable (i within [floor, anchor], i.e. not
-  /// pruned/rebased away); derived from the nearest checkpoint at or
+  /// rebased away); derived from the nearest checkpoint at or
   /// above i in at most `checkpoint_stride` hashes.
   [[nodiscard]] std::optional<common::Bytes> key(std::uint32_t i) const;
 
@@ -76,9 +79,10 @@ class ChainAuthenticator {
     return anchor_key_;
   }
   [[nodiscard]] std::uint64_t accepted() const noexcept { return accepted_; }
-  /// Reveals proven inconsistent with the chain (any mismatch path:
-  /// anchor compare, below-anchor re-derivation, above-anchor walk).
-  /// Empty keys and pruned indices are unverifiable, not rejected.
+  /// Reveals proven inconsistent with the chain (any mismatch path: key
+  /// size, anchor compare, below-anchor re-derivation, above-anchor
+  /// walk). Empty keys and indices below the rebase floor are
+  /// unverifiable, not rejected.
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
 
   [[nodiscard]] std::uint32_t checkpoint_stride() const noexcept {
@@ -94,10 +98,6 @@ class ChainAuthenticator {
     return walk_steps_;
   }
 
-  /// Drops derivability of keys with index < `floor` (memory hygiene for
-  /// long-running receivers); the anchor itself is always kept.
-  void prune_below(std::uint32_t floor);
-
   /// Collapses state to the newest authenticated key — the persistent
   /// anchor a crash/restart keeps. All checkpoints are dropped, so
   /// reveals for intervals before the anchor can no longer authenticate
@@ -106,6 +106,13 @@ class ChainAuthenticator {
   void rebase_to_newest();
 
  private:
+  /// The verdict on `key` as K_i: compares, counts, and on success above
+  /// the anchor installs checkpoints and moves it. `trajectory` is the
+  /// walk down from `key` (crypto::prf_walk's layout); above the anchor
+  /// it must reach it, elsewhere it is not read.
+  bool judge(std::uint32_t i, common::ByteView key,
+             common::ByteView trajectory);
+
   /// K_i for i in the derivable range: nearest checkpoint >= i walked
   /// down (checkpoint_index - i) steps. Precondition: floor <= i <=
   /// anchor (checked by callers).
@@ -115,7 +122,7 @@ class ChainAuthenticator {
   std::size_t key_size_;
   std::uint32_t stride_;
   std::uint32_t anchor_index_;
-  /// Lowest index still derivable; raised by prune_below/rebase.
+  /// Lowest index still derivable; raised by rebase_to_newest.
   std::uint32_t floor_index_;
   common::Bytes anchor_key_;
   /// Sparse checkpoint cache: every stride-th index plus accepted tops

@@ -73,13 +73,6 @@ wire::MessageReveal TeslaPpSender::reveal(std::uint32_t i) const {
   return p;
 }
 
-TeslaPpReceiver::TeslaPpReceiver(const TeslaPpConfig& config,
-                                 common::Bytes commitment,
-                                 common::Bytes local_secret,
-                                 sim::LooseClock clock)
-    : TeslaPpReceiver(config, std::move(commitment), 0,
-                      std::move(local_secret), clock) {}
-
 TeslaPpReceiver::Telemetry TeslaPpReceiver::make_telemetry() {
   auto& reg = obs::Registry::global();
   return {
@@ -99,28 +92,20 @@ TeslaPpReceiver::Telemetry TeslaPpReceiver::make_telemetry() {
 }
 
 TeslaPpReceiver::TeslaPpReceiver(const TeslaPpConfig& config,
-                                 common::Bytes anchor_key,
-                                 std::uint32_t anchor_index,
+                                 common::Bytes commitment,
                                  common::Bytes local_secret,
-                                 sim::LooseClock clock)
+                                 sim::LooseClock clock,
+                                 std::uint32_t anchor_index)
     : config_(config),
       telemetry_(make_telemetry()),
       local_secret_(std::move(local_secret)),
       clock_(clock),
       auth_(crypto::PrfDomain::kChainStep, config.key_size,
-            std::move(anchor_key), anchor_index),
+            std::move(commitment), anchor_index),
       resync_("teslapp", config.resync) {
   if (local_secret_.empty()) {
     throw std::invalid_argument("TeslaPpReceiver: empty local secret");
   }
-}
-
-TeslaPpReceiver TeslaPpReceiver::from_anchor(const TeslaPpConfig& config,
-                                             const SignedAnchor& anchor,
-                                             common::Bytes local_secret,
-                                             sim::LooseClock clock) {
-  return TeslaPpReceiver(config, anchor.key, anchor.interval,
-                         std::move(local_secret), clock);
 }
 
 common::Bytes TeslaPpReceiver::self_mac(std::uint32_t interval,

@@ -126,18 +126,14 @@ struct TeslaPpStats {
 
 class TeslaPpReceiver {
  public:
-  /// `commitment` must come from a verified bootstrap; `local_secret` is
-  /// this node's private re-MAC key (never leaves the node).
+  /// `commitment` is K_`anchor_index` and must come from a verified
+  /// bootstrap: K_0, or a mid-stream signed anchor's key and interval
+  /// (check verify_anchor first), after which traffic authenticates from
+  /// interval anchor_index + 1 onward. `local_secret` is this node's
+  /// private re-MAC key (never leaves the node).
   TeslaPpReceiver(const TeslaPpConfig& config, common::Bytes commitment,
-                  common::Bytes local_secret, sim::LooseClock clock);
-
-  /// Mid-stream bootstrap from a *verified* signed anchor (the caller
-  /// must check verify_anchor first): the receiver trusts K_anchor
-  /// directly and authenticates traffic from interval anchor+1 onward.
-  static TeslaPpReceiver from_anchor(const TeslaPpConfig& config,
-                                     const SignedAnchor& anchor,
-                                     common::Bytes local_secret,
-                                     sim::LooseClock clock);
+                  common::Bytes local_secret, sim::LooseClock clock,
+                  std::uint32_t anchor_index = 0);
 
   /// Phase 1: store a shortened self-MAC of the announced MAC.
   void receive(const wire::MacAnnounce& packet, sim::SimTime local_now);
@@ -169,10 +165,6 @@ class TeslaPpReceiver {
   }
 
  private:
-  TeslaPpReceiver(const TeslaPpConfig& config, common::Bytes anchor_key,
-                  std::uint32_t anchor_index, common::Bytes local_secret,
-                  sim::LooseClock clock);
-
   [[nodiscard]] common::Bytes self_mac(std::uint32_t interval,
                                        common::ByteView mac) const;
 

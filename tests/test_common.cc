@@ -73,14 +73,6 @@ TEST(Bytes, ConstantTimeEqualMatchesEqual) {
   EXPECT_TRUE(constant_time_equal({}, {}));
 }
 
-TEST(Bytes, TakePrefix) {
-  const Bytes a = {1, 2, 3, 4};
-  EXPECT_EQ(take_prefix(a, 2), (Bytes{1, 2}));
-  EXPECT_EQ(take_prefix(a, 0), Bytes{});
-  EXPECT_EQ(take_prefix(a, 4), a);
-  EXPECT_THROW(take_prefix(a, 5), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------- codec
 
 TEST(Codec, IntegerRoundTrip) {
@@ -236,19 +228,6 @@ TEST(Rng, BernoulliMatchesProbability) {
     if (rng.bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, ExponentialMeanMatchesRate) {
-  Rng rng(19);
-  RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.exponential(2.0));
-  EXPECT_NEAR(stats.mean(), 0.5, 0.02);
-}
-
-TEST(Rng, ExponentialRejectsNonPositiveRate) {
-  Rng rng(19);
-  EXPECT_THROW(rng.exponential(0.0), std::invalid_argument);
-  EXPECT_THROW(rng.exponential(-1.0), std::invalid_argument);
 }
 
 TEST(Rng, BytesLengthAndDeterminism) {

@@ -137,7 +137,7 @@ TEST(Hmac, VerifyAcceptsCorrectTag) {
   const Bytes key = bytes_of("k");
   const Bytes msg = bytes_of("m");
   const Digest tag = hmac_sha256(key, msg);
-  EXPECT_TRUE(hmac_verify(key, msg, ByteView(tag.data(), tag.size())));
+  EXPECT_TRUE(verify_mac(key, msg, ByteView(tag.data(), tag.size())));
 }
 
 TEST(Hmac, VerifyRejectsTamperedTagAndMessage) {
@@ -145,10 +145,10 @@ TEST(Hmac, VerifyRejectsTamperedTagAndMessage) {
   const Bytes msg = bytes_of("m");
   Digest tag = hmac_sha256(key, msg);
   tag[0] ^= 1;
-  EXPECT_FALSE(hmac_verify(key, msg, ByteView(tag.data(), tag.size())));
+  EXPECT_FALSE(verify_mac(key, msg, ByteView(tag.data(), tag.size())));
   tag[0] ^= 1;
   EXPECT_FALSE(
-      hmac_verify(key, bytes_of("m2"), ByteView(tag.data(), tag.size())));
+      verify_mac(key, bytes_of("m2"), ByteView(tag.data(), tag.size())));
 }
 
 TEST(Hmac, KeySensitivity) {
@@ -209,7 +209,10 @@ TEST(Prf, DomainLabelsUnique) {
 TEST(KeyChain, ChainRelationHolds) {
   const KeyChain chain(bytes_of("seed"), 16);
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(chain.step(chain.key(i + 1)), chain.key(i)) << "index " << i;
+    EXPECT_EQ(chain_walk(PrfDomain::kChainStep, chain.key(i + 1), 1,
+                         chain.key_size()),
+              chain.key(i))
+        << "index " << i;
   }
 }
 
@@ -229,14 +232,18 @@ TEST(KeyChain, KeySizeRespected) {
 }
 
 TEST(KeyChain, VerifyKeyAcceptsAuthenticRejectsForged) {
+  // Weak authentication of K_10: walking it down reaches every older
+  // authentic anchor; a forged K_10 reaches none.
   const KeyChain chain(bytes_of("seed"), 16);
-  EXPECT_TRUE(chain.verify_key(10, chain.key(10), 0, chain.commitment()));
-  EXPECT_TRUE(chain.verify_key(10, chain.key(10), 7, chain.key(7)));
+  const auto walk = [&](const Bytes& key, std::size_t steps) {
+    return chain_walk(PrfDomain::kChainStep, key, steps, chain.key_size());
+  };
+  EXPECT_EQ(walk(chain.key(10), 10), chain.commitment());
+  EXPECT_EQ(walk(chain.key(10), 3), chain.key(7));
   Bytes forged = chain.key(10);
   forged[0] ^= 1;
-  EXPECT_FALSE(chain.verify_key(10, forged, 0, chain.commitment()));
-  // Anchor not older than claimed index.
-  EXPECT_FALSE(chain.verify_key(5, chain.key(5), 5, chain.key(5)));
+  EXPECT_NE(walk(forged, 10), chain.commitment());
+  EXPECT_NE(walk(forged, 3), chain.key(7));
 }
 
 TEST(KeyChain, MacKeyDiffersFromChainKey) {

@@ -2,12 +2,14 @@
 // match the scalar oracle on arbitrary per-lane states, the streaming
 // Sha256 must match the portable C kernel under every forced backend (the
 // SHA-NI kernel included), HmacKey must reproduce hmac_sha256 (RFC 4231
-// vectors included), prf_walk_many must reproduce chain_walk step by step,
-// and ChainAuthenticator::accept_many must reproduce sequential accept()
+// vectors included), prf_walk_many, chain_walk and KeyChain must
+// reproduce iterated prf_bytes step by step, and
+// ChainAuthenticator::accept_many must reproduce sequential accept()
 // outcomes exactly — counters, checkpoints, and anchors included.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -313,9 +315,8 @@ TEST(HmacKey, VerifiesAndCountsMidstateHits) {
   const Bytes msg = bytes_of("m");
   const HmacKey cached{ByteView(key)};
   const Digest tag = cached.mac(msg);
-  EXPECT_TRUE(cached.verify(msg, ByteView(tag.data(), tag.size())));
-  EXPECT_FALSE(cached.verify(bytes_of("not m"),
-                             ByteView(tag.data(), tag.size())));
+  EXPECT_EQ(tag, hmac_sha256(key, msg));
+  EXPECT_NE(cached.mac(bytes_of("not m")), tag);
   EXPECT_GT(reg.value(hits), before);
 }
 
@@ -324,8 +325,7 @@ TEST(HmacKey, MacHelpersMatchByteViewOverloads) {
   const Bytes msg = bytes_of("announce");
   const HmacKey cached{ByteView(key)};
   EXPECT_EQ(compute_mac(cached, msg), compute_mac(key, msg));
-  EXPECT_TRUE(verify_mac(cached, msg, compute_mac(key, msg)));
-  EXPECT_FALSE(verify_mac(cached, msg, compute_mac(key, bytes_of("x"))));
+  EXPECT_NE(compute_mac(cached, msg), compute_mac(key, bytes_of("x")));
 }
 
 TEST(PrfKey, CachedDomainKeysMatchPrf) {
@@ -340,7 +340,21 @@ TEST(PrfKey, CachedDomainKeysMatchPrf) {
 
 // --------------------------------------------------------- prf_walk_many
 
+// Values 0..n of the walk from `start` by iterated prf_bytes: the
+// oracle every chain walk is checked against.
+std::vector<Bytes> iterated_prf(PrfDomain domain, const Bytes& start,
+                                std::size_t n) {
+  std::vector<Bytes> values{start};
+  for (std::size_t s = 0; s < n; ++s) {
+    values.push_back(prf_bytes(domain, values.back(), start.size()));
+  }
+  return values;
+}
+
 TEST(Sha256Batch, PrfWalkManyMatchesChainWalk) {
+  // prf_walk_many, chain_walk's end and a KeyChain over the same starts
+  // all equal iterated prf_bytes, on every backend, key size and chain
+  // step domain.
   const BackendGuard guard;
   common::Rng rng(0x99);
   obs::Registry& reg = obs::Registry::global();
@@ -352,39 +366,58 @@ TEST(Sha256Batch, PrfWalkManyMatchesChainWalk) {
       1, 7, 0, 64, 3, 31, 2, 100, 5, 9, 0, 17, 1, 40, 12, 4, 23, 6, 0, 2};
   const std::vector<std::vector<std::uint32_t>> batches = {
       uneven, {0, 0, 0}, {}};
-  for (const std::size_t key_size : {1u, 10u, 16u, 32u}) {
-    for (const std::vector<std::uint32_t>& steps : batches) {
-      std::vector<Bytes> starts;
-      std::uint64_t total = 0;
-      for (const std::uint32_t s : steps) {
-        starts.push_back(rng.bytes(key_size));
-        total += s;
-      }
-      // Oracle walks on the portable C kernel.
-      force_sha256_backend(Sha256Backend::kScalar);
-      std::vector<Bytes> expect(starts.size());
-      for (std::size_t i = 0; i < starts.size(); ++i) {
-        Bytes current = starts[i];
-        for (std::uint32_t s = 0; s < steps[i]; ++s) {
-          current = prf_bytes(PrfDomain::kChainStep, current, key_size);
-          expect[i].insert(expect[i].end(), current.begin(), current.end());
+  for (const PrfDomain domain : {PrfDomain::kChainStep,
+                                 PrfDomain::kHighChainStep,
+                                 PrfDomain::kLowChainStep}) {
+    for (const std::size_t key_size : {1u, 10u, 16u, 32u}) {
+      for (const std::vector<std::uint32_t>& steps : batches) {
+        std::vector<Bytes> starts;
+        std::uint64_t total = 0;
+        for (const std::uint32_t s : steps) {
+          starts.push_back(rng.bytes(key_size));
+          total += s;
         }
-      }
-      for (const Sha256Backend backend : supported_sha256_backends()) {
-        force_sha256_backend(backend);
-        const std::string where = std::string(backend_name(backend)) +
-                                  " key_size " + std::to_string(key_size) +
-                                  " walks " + std::to_string(steps.size());
-        const std::uint64_t blocks_before = reg.value(blocks);
-        const std::uint64_t steps_before = reg.value(walk_steps);
-        std::vector<Bytes> traj;
-        prf_walk_many(PrfDomain::kChainStep, starts, steps, key_size, traj);
-        // Two compressions per step, counted alike on every backend.
-        EXPECT_EQ(reg.value(walk_steps) - steps_before, total) << where;
-        EXPECT_EQ(reg.value(blocks) - blocks_before, 2 * total) << where;
-        ASSERT_EQ(traj.size(), starts.size()) << where;
+        // Oracle walks on the portable C kernel, one step further than
+        // the longest of the three walks below needs: a KeyChain of
+        // length L seeded with `start` holds values 1..L + 1.
+        force_sha256_backend(Sha256Backend::kScalar);
+        std::vector<std::vector<Bytes>> expect;
         for (std::size_t i = 0; i < starts.size(); ++i) {
-          EXPECT_EQ(traj[i], expect[i]) << where << " walk " << i;
+          expect.push_back(iterated_prf(domain, starts[i],
+                                        std::max<std::size_t>(steps[i], 1) + 1));
+        }
+        for (const Sha256Backend backend : supported_sha256_backends()) {
+          force_sha256_backend(backend);
+          const std::string where =
+              std::string(domain_label(domain)) + " " +
+              std::string(backend_name(backend)) + " key_size " +
+              std::to_string(key_size) + " walks " +
+              std::to_string(steps.size());
+          const std::uint64_t blocks_before = reg.value(blocks);
+          const std::uint64_t steps_before = reg.value(walk_steps);
+          std::vector<Bytes> traj;
+          prf_walk_many(domain, starts, steps, key_size, traj);
+          // Two compressions per step, counted alike on every backend.
+          EXPECT_EQ(reg.value(walk_steps) - steps_before, total) << where;
+          EXPECT_EQ(reg.value(blocks) - blocks_before, 2 * total) << where;
+          ASSERT_EQ(traj.size(), starts.size()) << where;
+          for (std::size_t i = 0; i < starts.size(); ++i) {
+            Bytes flat;
+            for (std::uint32_t s = 1; s <= steps[i]; ++s) {
+              flat.insert(flat.end(), expect[i][s].begin(),
+                          expect[i][s].end());
+            }
+            EXPECT_EQ(traj[i], flat) << where << " walk " << i;
+            EXPECT_EQ(chain_walk(domain, starts[i], steps[i], key_size),
+                      expect[i][steps[i]])
+                << where << " chain_walk " << i;
+            const std::size_t length = std::max<std::size_t>(steps[i], 1);
+            const KeyChain chain(starts[i], length, domain, key_size);
+            for (std::size_t j = 0; j <= length; ++j) {
+              EXPECT_EQ(chain.key(j), expect[i][length + 1 - j])
+                  << where << " KeyChain " << i << " key " << j;
+            }
+          }
         }
       }
     }
@@ -490,22 +523,35 @@ TEST(ChainAuthenticatorBatch, AllForgedBatchRejectsEverything) {
   EXPECT_EQ(auth.anchor_index(), 0u);
 }
 
-TEST(ChainAuthenticatorBatch, OddKeySizeFallsBackToScalarAccept) {
+TEST(ChainAuthenticatorBatch, OddKeySizeIsRejectedWithoutAWalk) {
+  // No key of the chain has another size, so both accept paths reject
+  // such a candidate as inconsistent before walking it.
   common::Rng rng(0xF1);
   const crypto::KeyChain chain(rng.bytes(16), 16);
-  ChainAuthenticator auth(chain.step_domain(), chain.key_size(),
-                          chain.commitment());
-  // A candidate whose size differs from the chain key size cannot ride
-  // the lockstep lanes; it must still get the exact scalar verdict.
   const Bytes wrong_size = rng.bytes(chain.key_size() + 3);
-  std::vector<KeyReveal> reveals{
+
+  ChainAuthenticator one(chain.step_domain(), chain.key_size(),
+                         chain.commitment());
+  EXPECT_FALSE(one.accept(4, wrong_size));
+  EXPECT_EQ(one.rejected(), 1u);
+  EXPECT_EQ(one.walk_steps(), 0u);
+  EXPECT_TRUE(one.accept(4, chain.key(4)));
+
+  ChainAuthenticator many(chain.step_domain(), chain.key_size(),
+                          chain.commitment());
+  const std::vector<KeyReveal> odd{KeyReveal{4, ByteView(wrong_size)}};
+  EXPECT_EQ(many.accept_many(odd), std::vector<bool>{false});
+  EXPECT_EQ(many.rejected(), 1u);
+  EXPECT_EQ(many.walk_steps(), 0u);
+  const std::vector<KeyReveal> mixed{
       KeyReveal{4, ByteView(wrong_size)},
       KeyReveal{4, ByteView(chain.key(4))},
   };
-  const std::vector<bool> got = auth.accept_many(reveals);
-  EXPECT_FALSE(got[0]);
-  EXPECT_TRUE(got[1]);
-  EXPECT_EQ(auth.anchor_index(), 4u);
+  EXPECT_EQ(many.accept_many(mixed), (std::vector<bool>{false, true}));
+  EXPECT_EQ(many.rejected(), 2u);
+  EXPECT_EQ(many.walk_steps(), 4u);  // the authentic candidate's walk only
+  EXPECT_EQ(many.anchor_index(), 4u);
+  EXPECT_EQ(one.anchor_index(), 4u);
 }
 
 }  // namespace

@@ -165,11 +165,11 @@ TEST(Scenario, ValidateRejectsSinkAttacker) {
 TEST(Scenario, IdAndTotals) {
   const fleet::ScenarioSpec spec = sample_spec();
   EXPECT_EQ(spec.id(), "tree_d2f3_m25_p0.5");
-  // Tree with depth 2, fanout 3: 13 nodes, 12 cohorts by default.
-  EXPECT_EQ(spec.total_members(), 12u * 25u);
-  fleet::ScenarioSpec leaves_only = spec;
-  leaves_only.cohorts_at_leaves_only = true;
-  EXPECT_EQ(leaves_only.total_members(), 9u * 25u);
+  // Tree with depth 2, fanout 3: 13 nodes (12 cohorts by default), 9
+  // of them leaves.
+  const fleet::Topology topo = spec.build_topology();
+  EXPECT_EQ(topo.node_count, 13u);
+  EXPECT_EQ(topo.leaves().size(), 9u);
 }
 
 TEST(Scenario, FaultPlanMarksChaosIdAndClearHorizon) {

@@ -415,13 +415,6 @@ TEST(Bandwidth, SenderRequirementShrinksWithBuffers) {
   EXPECT_TRUE(std::isinf(sender_mac_bandwidth_required(1.0, 3, xa)));
 }
 
-TEST(Bandwidth, DefenseSuccessComplement) {
-  EXPECT_NEAR(defense_success(0.8, 4), 1.0 - std::pow(0.8, 4), 1e-12);
-  EXPECT_DOUBLE_EQ(defense_success(0.0, 4), 1.0);
-  EXPECT_DOUBLE_EQ(defense_success(1.0, 4), 0.0);
-  EXPECT_THROW(defense_success(-0.1, 4), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace dap::game
 

@@ -15,6 +15,7 @@
 #include "game/optimizer.h"
 #include "sim/shaper.h"
 #include "tesla/buffer.h"
+#include "tesla/chain_auth.h"
 #include "wire/frame.h"
 #include "wire/packet.h"
 
@@ -155,13 +156,18 @@ TEST(Property, RandomChainsVerifyEverywhere) {
     const std::size_t key_size = rng.uniform(4, 32);
     const crypto::KeyChain chain(rng.bytes(16), length,
                                  crypto::PrfDomain::kChainStep, key_size);
-    const std::size_t i = rng.uniform(1, length);
-    const std::size_t anchor = rng.uniform(0, i - 1);
-    EXPECT_TRUE(chain.verify_key(i, chain.key(i), anchor, chain.key(anchor)));
+    const auto i = static_cast<std::uint32_t>(rng.uniform(1, length));
+    const auto anchor = static_cast<std::uint32_t>(rng.uniform(0, i - 1));
+    // A receiver anchored anywhere below i rejects a forged K_i and then
+    // accepts the authentic one.
+    tesla::ChainAuthenticator auth(crypto::PrfDomain::kChainStep, key_size,
+                                   chain.key(anchor), anchor);
     Bytes forged = chain.key(i);
     forged[rng.uniform(0, forged.size() - 1)] ^= 0x01;
-    EXPECT_FALSE(
-        chain.verify_key(i, forged, anchor, chain.key(anchor)));
+    EXPECT_FALSE(auth.accept(i, forged));
+    EXPECT_EQ(auth.rejected(), 1u);
+    EXPECT_TRUE(auth.accept(i, chain.key(i)));
+    EXPECT_EQ(auth.anchor_index(), i);
   }
 }
 

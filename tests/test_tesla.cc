@@ -84,13 +84,16 @@ TEST(ChainAuthenticator, RejectionCounterCoversAllMismatchPaths) {
   Bytes wrong_above = chain.key(8);
   wrong_above[0] ^= 1;
   EXPECT_FALSE(auth.accept(8, wrong_above));  // above-anchor walk
-  EXPECT_EQ(auth.rejected(), 3u);
+  const Bytes wrong_size(chain.key_size() + 1, 0);
+  EXPECT_FALSE(auth.accept(8, wrong_size));  // key size
+  EXPECT_EQ(auth.rejected(), 4u);
   // Unverifiable reveals are not rejections: empty keys are malformed,
-  // pruned indices are a cache miss.
-  auth.prune_below(5);
+  // indices below the rebase floor are a cache miss.
+  auth.rebase_to_newest();
   EXPECT_FALSE(auth.accept(3, chain.key(3)));
+  EXPECT_FALSE(auth.accept(3, wrong_size));
   EXPECT_FALSE(auth.accept(7, Bytes{}));
-  EXPECT_EQ(auth.rejected(), 3u);
+  EXPECT_EQ(auth.rejected(), 4u);
 }
 
 TEST(ChainAuthenticator, RejectsEmptyKeyAndWrongDomain) {
@@ -113,13 +116,15 @@ TEST(ChainAuthenticator, MacKeyOnlyForKnownKeys) {
 }
 
 TEST(ChainAuthenticator, PruneKeepsAnchor) {
+  // rebase_to_newest is the receiver's prune: every key below the anchor
+  // stops being derivable, the anchor itself stays.
   const crypto::KeyChain chain(bytes_of("seed"), 8);
   ChainAuthenticator auth(crypto::PrfDomain::kChainStep, chain.key_size(),
                           chain.commitment());
   ASSERT_TRUE(auth.accept(6, chain.key(6)));
-  auth.prune_below(5);
+  auth.rebase_to_newest();
   EXPECT_FALSE(auth.key(2).has_value());
-  EXPECT_TRUE(auth.key(5).has_value());
+  EXPECT_FALSE(auth.key(5).has_value());
   EXPECT_TRUE(auth.key(6).has_value());
   // Still able to verify later keys against the anchor.
   EXPECT_TRUE(auth.accept(8, chain.key(8)));
@@ -204,11 +209,14 @@ TEST(ChainAuthenticator, PruneRaisesDerivabilityFloor) {
   const crypto::KeyChain chain(bytes_of("seed"), 64);
   ChainAuthenticator auth(crypto::PrfDomain::kChainStep, chain.key_size(),
                           chain.commitment());
+  ASSERT_TRUE(auth.accept(33, chain.key(33)));
+  auth.rebase_to_newest();
   ASSERT_TRUE(auth.accept(48, chain.key(48)));
-  auth.prune_below(33);
   EXPECT_FALSE(auth.key(32).has_value());
   EXPECT_FALSE(auth.accept(20, chain.key(20)));
-  // In-range keys survive even where their checkpoint was pruned.
+  EXPECT_EQ(auth.rejected(), 0u);  // below the floor: unverifiable
+  // Keys between the floor and the anchor derive from the checkpoints
+  // the walk after the rebase installed.
   for (const std::uint32_t i : {33u, 40u, 47u}) {
     ASSERT_TRUE(auth.key(i).has_value()) << "key " << i;
     EXPECT_EQ(*auth.key(i), chain.key(i));

@@ -221,8 +221,9 @@ TEST(SignedAnchor, MidStreamBootstrapAuthenticates) {
   // the signed anchor for interval 10 and verifies it against the root.
   const auto anchor = sender.make_anchor(10);
   ASSERT_TRUE(tesla::verify_anchor(anchor, sender.signature_root()));
-  auto late_joiner = tesla::TeslaPpReceiver::from_anchor(
-      config, anchor, bytes_of("late-local"), sim::LooseClock(0, 0));
+  tesla::TeslaPpReceiver late_joiner(config, anchor.key,
+                                     bytes_of("late-local"),
+                                     sim::LooseClock(0, 0), anchor.interval);
 
   late_joiner.receive(sender.announce(11, bytes_of("fresh data")), mid(11));
   const auto released = late_joiner.receive(sender.reveal(11), mid(12));
