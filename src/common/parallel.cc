@@ -13,7 +13,6 @@
 #include <immintrin.h>
 #endif
 
-#include "common/rng.h"
 #include "common/sync.h"
 
 namespace dap::common {
@@ -75,18 +74,18 @@ bool spin_until(const Ready& ready) {
 /// one shared atomic cursor.
 ///
 /// Sharing discipline, field by field: `body`, `n`, `grain`, `hooks`
-/// and the size of `shards` are set by parallel_for BEFORE the job is
-/// published to the pool and never written afterwards; `shards` slots
-/// are written by exactly one executor each (index-addressed by chunk
-/// id) and only read after the join; the cursor and join counters are
-/// atomics; `error` is guarded by its mutex.
+/// and `shards` (one per chunk, acquired in one batch) are set by
+/// parallel_for BEFORE the job is published to the pool and never
+/// written afterwards; executors only read their chunk's shard; the
+/// cursor and join counters are atomics; `error` is guarded by its
+/// mutex.
 struct Job {
   const std::function<void(std::size_t)>* body =  // lint: allow(guarded-fields): immutable once published
       nullptr;
   std::size_t n = 0;          // lint: allow(guarded-fields): immutable once published
   std::size_t grain = 1;      // lint: allow(guarded-fields): immutable once published
   ShardHooks hooks;           // lint: allow(guarded-fields): immutable once published
-  std::vector<void*> shards;  // lint: allow(guarded-fields): one writer per index-addressed slot
+  std::vector<void*> shards;  // lint: allow(guarded-fields): immutable once published
 
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> unfinished_chunks{0};
@@ -159,10 +158,8 @@ class ShardActivation {
 };
 
 void execute_chunk(Job& job, std::size_t chunk_id) {
-  void* shard = job.hooks.create != nullptr ? job.hooks.create() : nullptr;
-  job.shards[chunk_id] = shard;
   {
-    const ShardActivation activation(job.hooks, shard);
+    const ShardActivation activation(job.hooks, job.shards[chunk_id]);
     if (!job.failed.load(std::memory_order_relaxed)) {
       try {
         const std::size_t begin = chunk_id * job.grain;
@@ -326,15 +323,6 @@ void set_default_threads(std::size_t n) noexcept {
                           std::memory_order_relaxed);
 }
 
-std::uint64_t subseed(std::uint64_t base_seed, std::uint64_t index) noexcept {
-  // One extra SplitMix64 round over (base ^ mixed-index) — the same
-  // golden-ratio increment Rng::fork uses, but stateless, so shard seeds
-  // never depend on fork order.
-  std::uint64_t state =
-      base_seed ^ ((index + 1) * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(state);
-}
-
 bool in_parallel_region() noexcept { return tls_in_parallel_region; }
 
 double parallel_spin_seconds() noexcept {
@@ -381,15 +369,19 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
   job.grain = grain;
   job.hooks = shard_hooks();
   job.shards.assign((n + grain - 1) / grain, nullptr);
+  if (job.hooks.acquire != nullptr) {
+    job.hooks.acquire(job.shards.data(), job.shards.size());
+  }
   job.unfinished_chunks.store(job.shards.size(), std::memory_order_relaxed);
   WorkerPool::instance().run(job, threads);
 
   // Merge shards on the calling thread in chunk order: fixed order makes
   // the merged registry reproducible for a fixed configuration.
   for (void* shard : job.shards) {
-    if (shard == nullptr) continue;
-    if (job.hooks.merge != nullptr) job.hooks.merge(shard);
-    if (job.hooks.destroy != nullptr) job.hooks.destroy(shard);
+    if (shard != nullptr && job.hooks.merge != nullptr) job.hooks.merge(shard);
+  }
+  if (job.hooks.release != nullptr) {
+    job.hooks.release(job.shards.data(), job.shards.size());
   }
   if (std::exception_ptr error = job.take_error()) {
     std::rethrow_exception(error);

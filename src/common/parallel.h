@@ -48,6 +48,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace dap::common {
 
 /// Threads the hardware advertises (>= 1 even when unknown).
@@ -66,9 +68,16 @@ void set_default_threads(std::size_t n) noexcept;
 /// Stateless SplitMix64-derived sub-seed for item `index` of a run
 /// seeded with `base_seed`. Distinct (base, index) pairs give
 /// independent streams; the mapping is fixed for all time so seeded
-/// experiments stay reproducible across releases.
-[[nodiscard]] std::uint64_t subseed(std::uint64_t base_seed,
-                                    std::uint64_t index) noexcept;
+/// experiments stay reproducible across releases. It is one SplitMix64
+/// step from state base ^ mixed-index (the golden-ratio increment
+/// Rng::fork uses, but stateless, so shard seeds never depend on fork
+/// order); inline because the fleet's reservoir replay draws two per
+/// offer.
+[[nodiscard]] constexpr std::uint64_t subseed(std::uint64_t base_seed,
+                                              std::uint64_t index) noexcept {
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+  return splitmix64_mix((base_seed ^ ((index + 1) * kGolden)) + kGolden);
+}
 
 /// True while the calling thread is executing inside a parallel_for
 /// body; nested parallel_for calls detect this and run inline serially.
@@ -82,17 +91,19 @@ void set_default_threads(std::size_t n) noexcept;
 [[nodiscard]] double parallel_spin_seconds() noexcept;
 
 /// Bridge to the telemetry layer (installed by obs/registry.cc).
-/// `create` runs on the executing thread at chunk start; `activate` /
-/// `deactivate` bracket the chunk body (bind/unbind the thread-local
-/// shard); `merge` runs on the *calling* thread after the join, once per
-/// chunk in ascending chunk order; `destroy` releases the shard (the
-/// obs hooks return it to a pool for a later chunk).
+/// `acquire` runs on the *calling* thread before the job starts and
+/// fills one shard per chunk; `activate` / `deactivate` bracket each
+/// chunk body on the executing thread (bind/unbind the thread-local
+/// shard); `merge` runs on the calling thread after the join, once per
+/// chunk in ascending chunk order; `release` then hands every shard
+/// back (the obs hooks return them to a pool for a later job). Acquire
+/// and release each see the whole job at once, so they can batch.
 struct ShardHooks {
-  void* (*create)() = nullptr;
+  void (*acquire)(void** shards, std::size_t n) = nullptr;
   void (*activate)(void* shard) = nullptr;
   void (*deactivate)(void* shard) = nullptr;
   void (*merge)(void* shard) = nullptr;
-  void (*destroy)(void* shard) = nullptr;
+  void (*release)(void* const* shards, std::size_t n) = nullptr;
 };
 
 void set_shard_hooks(const ShardHooks& hooks) noexcept;

@@ -18,7 +18,18 @@
 namespace dap::common {
 
 /// SplitMix64 step; used for seeding and as a cheap stateless mixer.
+/// Deliberately out of line (rng.cc): bench/e2e's host-speed probe
+/// times calls to it, so its code must not move with its callers'.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+
+/// SplitMix64's finaliser: splitmix64(state) adds 0x9e3779b97f4a7c15 to
+/// state and returns splitmix64_mix of the new state. Header-inline for
+/// stateless hot callers (subseed).
+[[nodiscard]] constexpr std::uint64_t splitmix64_mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Uniform double in [0, 1) from one 64-bit word (its 53 high bits).
 [[nodiscard]] constexpr double unit_double(std::uint64_t word) noexcept {

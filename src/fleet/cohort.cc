@@ -24,6 +24,7 @@ ReceiverCohort::ReceiverCohort(const CohortConfig& config,
                                common::Bytes commitment)
     : config_(config),
       stat_members_(config.members == 0 ? 0 : config.members - 1),
+      keep_thresholds_(config.dap.buffers),
       auth_(crypto::PrfDomain::kChainStep, config.dap.key_size, commitment),
       sentinel_(config.dap, commitment,
                 sentinel_rng(config.seed).bytes(16), config.clock,
@@ -149,17 +150,12 @@ void ReceiverCohort::install_hints(std::vector<RevealHint> hints,
   audit_seed_ = audit_seed;
 }
 
-void ReceiverCohort::replay_member(Round& round, std::uint32_t interval,
+void ReceiverCohort::replay_member(Round& round, std::uint64_t round_seed,
                                    std::size_t mi) const {
   const std::size_t m = config_.dap.buffers;
   std::uint32_t* slots = round.slots.data() + mi * m;
   std::uint16_t& count = round.counts[mi];
-  // Stateless draw chain: (cohort seed, member, interval, offer) fully
-  // determines every reservoir decision, independent of when — and on
-  // which thread — the replay runs.
-  const std::uint64_t member_seed =
-      common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
-  tesla::SeededDraws draws(common::subseed(member_seed, interval));
+  tesla::SeededDraws draws(round_seed, &keep_thresholds_);
   for (std::uint32_t k = round.replayed;
        k < static_cast<std::uint32_t>(round.macs.size()); ++k) {
     // Offer k + 1 ("the k-th copy", 1-based) is announce arrival k.
@@ -281,14 +277,21 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   }
 
   // Parallel phase over statistical members: lazy reservoir replay for
-  // every live round, then matching each valid plan in queue order. All
-  // writes are index-addressed per member (slots, counts, flags), and
-  // every random decision comes from the stateless draw chain, so the
-  // result is bitwise identical at any thread count.
-  std::vector<std::pair<std::uint32_t, Round*>> live_rounds;
+  // every round with unreplayed offers, then matching each valid plan in
+  // queue order. All writes are index-addressed per member (slots,
+  // counts, flags), and every random decision comes from the stateless
+  // draw chain, so the result is bitwise identical at any thread count.
+  // The keep thresholds grow here, serially, past every offer the pass
+  // replays; the members only read them.
+  std::vector<const Round*> live_rounds;
+  std::vector<std::pair<std::uint32_t, Round*>> unreplayed;
   live_rounds.reserve(rounds_.size());
+  unreplayed.reserve(rounds_.size());
   for (auto& [interval, round] : rounds_) {
-    live_rounds.emplace_back(interval, &round);
+    live_rounds.push_back(&round);
+    if (round.replayed == round.macs.size()) continue;  // lint: allow(secret-taint): arrival counts, not MAC bytes
+    unreplayed.emplace_back(interval, &round);
+    keep_thresholds_.grow(round.macs.size());
   }
   std::vector<std::uint8_t> flags(plans.size() * stat_members_, 0);
   // Records each member still stores once its matches are consumed,
@@ -296,8 +299,13 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   std::vector<std::uint32_t> member_stored(stat_members_, 0);
   const std::size_t m = config_.dap.buffers;
   common::parallel_for(stat_members_, [&](std::size_t mi) {
-    for (auto& [interval, round] : live_rounds) {
-      replay_member(*round, interval, mi);
+    // Stateless draw chain: (cohort seed, member, interval, offer) fully
+    // determines every reservoir decision, independent of when — and on
+    // which thread — the replay runs.
+    const std::uint64_t member_seed =
+        common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
+    for (auto& [interval, round] : unreplayed) {
+      replay_member(*round, common::subseed(member_seed, interval), mi);
     }
     for (std::size_t p = 0; p < plans.size(); ++p) {
       const Plan& plan = plans[p];
@@ -316,12 +324,10 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
       }
     }
     std::uint32_t stored = 0;
-    for (const auto& [interval, round] : live_rounds) {
-      stored += round->counts[mi];
-    }
+    for (const Round* round : live_rounds) stored += round->counts[mi];
     member_stored[mi] = stored;
   });
-  for (auto& [interval, round] : live_rounds) {
+  for (auto& [interval, round] : unreplayed) {
     (void)interval;
     round->replayed = static_cast<std::uint32_t>(round->macs.size());
   }

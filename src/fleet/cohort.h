@@ -40,6 +40,7 @@
 #include "dap/dap.h"
 #include "sim/clock_model.h"
 #include "sim/time.h"
+#include "tesla/buffer.h"
 #include "tesla/timesync.h"
 #include "wire/packet.h"
 
@@ -234,8 +235,9 @@ class ReceiverCohort {
   };
 
   /// Replays offers [round.replayed, macs.size()) for member `mi` using
-  /// the stateless per-(member, interval, offer) draws.
-  void replay_member(Round& round, std::uint32_t interval,
+  /// the stateless per-offer draws of the member's `round_seed` and the
+  /// cohort's keep thresholds (grown past every offer beforehand).
+  void replay_member(Round& round, std::uint64_t round_seed,
                      std::size_t mi) const;
 
   [[nodiscard]] Round& round_for(std::uint32_t interval);
@@ -252,6 +254,9 @@ class ReceiverCohort {
 
   CohortConfig config_;
   std::size_t stat_members_;  // members - 1 (sentinel excluded)
+  /// Integer keep thresholds for m = config_.dap.buffers; each drain
+  /// grows them (serially) past every offer its member pass replays.
+  tesla::KeepThresholds keep_thresholds_;
   tesla::ChainAuthenticator auth_;
   protocol::DapReceiver sentinel_;
   std::map<std::uint32_t, Round> rounds_;

@@ -361,11 +361,12 @@ struct ObsShard {
   Tracer* prev_tracer = nullptr;
 };
 
-/// Shards whose chunk has been merged, ready for the next chunk. Every
+/// Shards whose chunk has been merged, ready for the next job. Every
 /// shard of a job exists until that job's merge, so the pool never holds
 /// more shards than the largest job had chunks. It never shrinks either:
 /// an idle shard keeps its names, histograms and grown tracer rings until
-/// the process exits.
+/// the process exits. A job takes all its shards in one locked batch and
+/// returns them in another, so pool workers never contend for `mu`.
 struct ShardPool {
   common::Mutex mu;
   std::vector<std::unique_ptr<ObsShard>> idle DAP_GUARDED_BY(mu);
@@ -376,23 +377,30 @@ ShardPool& shard_pool() {
   return pool;
 }
 
-void* shard_create() {
-  std::unique_ptr<ObsShard> shard;
+void shard_acquire(void** shards, std::size_t n) {
+  std::size_t pooled = 0;
   {
     ShardPool& pool = shard_pool();
     const common::LockGuard lock(pool.mu);
-    if (!pool.idle.empty()) {
-      shard = std::move(pool.idle.back());
+    pooled = std::min(n, pool.idle.size());
+    for (std::size_t i = 0; i < pooled; ++i) {
+      shards[i] = pool.idle.back().release();
       pool.idle.pop_back();
     }
   }
-  if (shard == nullptr) shard = std::make_unique<ObsShard>();
-  const Tracer& global = Tracer::global();
-  if (shard->tracer.capacity() != global.capacity()) {
-    shard->tracer = Tracer::growable(global.capacity());
+  for (std::size_t i = pooled; i < n; ++i) {
+    shards[i] = std::make_unique<ObsShard>().release();
   }
-  shard->tracer.enable(global.enabled());
-  return shard.release();
+  // The shards merge into the calling thread's tracer: mirror its ring
+  // size and switch.
+  const Tracer& global = Tracer::global();
+  for (std::size_t i = 0; i < n; ++i) {
+    auto* s = static_cast<ObsShard*>(shards[i]);
+    if (s->tracer.capacity() != global.capacity()) {
+      s->tracer = Tracer::growable(global.capacity());
+    }
+    s->tracer.enable(global.enabled());
+  }
 }
 
 void shard_activate(void* shard) {
@@ -413,19 +421,23 @@ void shard_merge(void* shard) {
   Tracer::global().append_from(s->tracer);
 }
 
-void shard_destroy(void* shard) {
-  std::unique_ptr<ObsShard> s(static_cast<ObsShard*>(shard));
-  s->registry.reset();
-  s->tracer.clear();
+void shard_release(void* const* shards, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    auto* s = static_cast<ObsShard*>(shards[i]);
+    s->registry.reset();
+    s->tracer.clear();
+  }
   ShardPool& pool = shard_pool();
   const common::LockGuard lock(pool.mu);
-  pool.idle.push_back(std::move(s));
+  for (std::size_t i = 0; i < n; ++i) {
+    pool.idle.emplace_back(static_cast<ObsShard*>(shards[i]));
+  }
 }
 
 [[maybe_unused]] const bool kShardHooksInstalled = [] {
   common::set_shard_hooks(common::ShardHooks{
-      &shard_create, &shard_activate, &shard_deactivate, &shard_merge,
-      &shard_destroy});
+      &shard_acquire, &shard_activate, &shard_deactivate, &shard_merge,
+      &shard_release});
   return true;
 }();
 

@@ -19,7 +19,9 @@
 //     (DAP receivers, multi-level μTESLA);
 //   - SeededDraws: stateless SplitMix64 words subseed(round_seed, 2k)
 //     and subseed(round_seed, 2k+1), so a fleet cohort can replay any
-//     member's decisions on any thread in any order.
+//     member's decisions on any thread in any order. Given a
+//     KeepThresholds table it decides keep with an integer compare that
+//     is exactly the double one (see KeepThresholds).
 //
 // Slot layout: occupied slots are always the prefix [0, count). A fill
 // goes to slot `count`; a take removes its slot and shifts the later
@@ -32,6 +34,7 @@
 // interval capture all slots deterministically, always-replace one who
 // bursts late.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -70,26 +73,76 @@ class RngDraws {
   common::Rng& rng_;
 };
 
+/// decide()'s reservoir keep test as integers, for one m. Offer k is
+/// kept when unit_double(word) < q, q = double(m) / double(k). Both
+/// unit_double(word) = (word >> 11) * 2^-53 and q * 2^53 are exact, so
+/// that holds exactly when (word >> 11) < ceil(ldexp(q, 53)), which
+/// this table stores per offer index (capped at 2^53 for k <= m, where
+/// every word keeps). Entries depend on (m, k) alone, so one table
+/// serves every member of a cohort; it only grows.
+class KeepThresholds {
+ public:
+  explicit KeepThresholds(std::size_t m) noexcept : m_(m) {}
+
+  /// Extends the table to cover offers 1..max_offer.
+  void grow(std::uint64_t max_offer) {
+    std::size_t k = thresholds_.size();
+    if (max_offer < k) return;
+    thresholds_.resize(static_cast<std::size_t>(max_offer) + 1);
+    for (; k < thresholds_.size(); ++k) {
+      const double q = k == 0 ? 1.0
+                              : static_cast<double>(m_) /
+                                    static_cast<double>(k);
+      thresholds_[k] = q >= 1.0 ? kAll
+                                : static_cast<std::uint64_t>(
+                                      std::ceil(std::ldexp(q, 53)));
+    }
+  }
+
+  [[nodiscard]] std::uint64_t operator[](std::uint64_t offer) const noexcept {
+    DAP_REQUIRE(offer < thresholds_.size(),
+                "KeepThresholds: offer beyond the grown table");
+    return thresholds_[static_cast<std::size_t>(offer)];
+  }
+  /// The keep test: unit_double(word) < double(m) / double(offer).
+  [[nodiscard]] bool keeps(std::uint64_t word,
+                           std::uint64_t offer) const noexcept {
+    return (word >> 11) < (*this)[offer];
+  }
+
+ private:
+  static constexpr std::uint64_t kAll = std::uint64_t{1} << 53;
+  std::size_t m_;
+  std::vector<std::uint64_t> thresholds_;
+};
+
 /// Stateless draws: offer k's keep word is subseed(round_seed, 2k) and
 /// its victim word subseed(round_seed, 2k + 1), so each decision depends
-/// on (round_seed, k) alone.
+/// on (round_seed, k) alone. With `thresholds` (grown past every offer
+/// and built for decide()'s m) keep compares integers instead of
+/// doubles; the decisions are the same either way.
 class SeededDraws {
  public:
-  explicit SeededDraws(std::uint64_t round_seed) noexcept
-      : round_seed_(round_seed) {}
+  explicit SeededDraws(std::uint64_t round_seed,
+                       const KeepThresholds* thresholds = nullptr) noexcept
+      : round_seed_(round_seed), thresholds_(thresholds) {}
   [[nodiscard]] bool keep(double probability,
                           std::uint64_t offer) const noexcept {
-    return common::unit_double(common::subseed(round_seed_, 2 * offer)) <
-           probability;
+    const std::uint64_t word = common::subseed(round_seed_, 2 * offer);
+    if (thresholds_ != nullptr) return thresholds_->keeps(word, offer);
+    return common::unit_double(word) < probability;
   }
+  /// word % m, through a mask when m is a power of two (the same value).
   [[nodiscard]] std::size_t victim(std::size_t m,
                                    std::uint64_t offer) const noexcept {
-    return static_cast<std::size_t>(
-        common::subseed(round_seed_, 2 * offer + 1) % m);
+    const std::uint64_t word = common::subseed(round_seed_, 2 * offer + 1);
+    if ((m & (m - 1)) == 0) return static_cast<std::size_t>(word & (m - 1));
+    return static_cast<std::size_t>(word % m);
   }
 
  private:
   std::uint64_t round_seed_;
+  const KeepThresholds* thresholds_;
 };
 
 /// The kernel's decide step for the `offer`-th copy (1-based) of a

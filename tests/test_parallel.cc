@@ -85,13 +85,15 @@ class ThreadGuard {
 // ------------------------------------------------------------- sub-seeds
 
 TEST(Subseed, DeterministicAndFixedForAllTime) {
-  EXPECT_EQ(common::subseed(42, 0), common::subseed(42, 0));
-  EXPECT_EQ(common::subseed(42, 7), common::subseed(42, 7));
-  // The mapping is part of the reproducibility contract: pin one value
-  // so accidental algorithm changes fail loudly.
-  const std::uint64_t pinned = common::subseed(42, 0);
-  EXPECT_EQ(common::subseed(42, 0), pinned);
-  EXPECT_NE(pinned, 0u);
+  // The mapping is part of the reproducibility contract: pin values so
+  // accidental algorithm changes fail loudly.
+  EXPECT_EQ(common::subseed(42, 0), 0x28efe333b266f103ULL);
+  EXPECT_EQ(common::subseed(42, 7), 0xcc868f8d9bd23f76ULL);
+  // It is one step of the out-of-line SplitMix64 from base ^ mixed index.
+  for (const std::uint64_t index : {0ULL, 7ULL, 1ULL << 40, ~0ULL}) {
+    std::uint64_t state = 42 ^ ((index + 1) * 0x9e3779b97f4a7c15ULL);
+    EXPECT_EQ(common::subseed(42, index), common::splitmix64(state));
+  }
 }
 
 TEST(Subseed, DistinctAcrossIndicesAndBases) {
@@ -377,7 +379,9 @@ struct FreshShard {
   obs::Registry* prev = nullptr;
 };
 const common::ShardHooks kFreshShardHooks{
-    [] { return static_cast<void*>(new FreshShard); },
+    [](void** shards, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) shards[i] = new FreshShard;
+    },
     [](void* s) {
       auto* shard = static_cast<FreshShard*>(s);
       shard->prev = obs::Registry::set_thread_override(&shard->registry);
@@ -388,7 +392,11 @@ const common::ShardHooks kFreshShardHooks{
     [](void* s) {
       obs::Registry::global().merge_from(static_cast<FreshShard*>(s)->registry);
     },
-    [](void* s) { delete static_cast<FreshShard*>(s); }};
+    [](void* const* shards, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        delete static_cast<FreshShard*>(shards[i]);
+      }
+    }};
 
 // Installs `hooks` for one scope, restoring the previous ones afterwards.
 class HooksGuard {
@@ -509,24 +517,23 @@ TEST(RecycledShards, ResetShardMergesWhatItsNextUserResolves) {
             std::string::npos);
 }
 
-// Records every shard the installed hooks create, and the bytes that
-// creating them allocated.
+// Records every shard the installed hooks acquire, and the bytes that
+// acquiring them allocated.
 common::ShardHooks g_real_hooks;
-std::mutex g_created_mu;
 std::vector<void*> g_created;
 std::uint64_t g_create_bytes = 0;
+int g_acquire_calls = 0;
 
 TEST(RecycledShards, SameShapeJobReusesEveryShard) {
   g_real_hooks = common::shard_hooks();
   common::ShardHooks recording = g_real_hooks;
-  recording.create = [] {
+  // Acquire runs once per job, on the calling thread.
+  recording.acquire = [](void** shards, std::size_t n) {
     const std::uint64_t before = tls_new_bytes;
-    void* shard = g_real_hooks.create();
-    const std::uint64_t bytes = tls_new_bytes - before;
-    const std::lock_guard<std::mutex> lock(g_created_mu);
-    g_created.push_back(shard);
-    g_create_bytes += bytes;
-    return shard;
+    g_real_hooks.acquire(shards, n);
+    g_create_bytes += tls_new_bytes - before;
+    ++g_acquire_calls;
+    g_created.insert(g_created.end(), shards, shards + n);
   };
   const HooksGuard guard(recording);
   std::vector<std::set<void*>> shards;
@@ -534,6 +541,7 @@ TEST(RecycledShards, SameShapeJobReusesEveryShard) {
   for (int job = 0; job < 3; ++job) {
     g_created.clear();
     g_create_bytes = 0;
+    g_acquire_calls = 0;
     common::parallel_for(
         64,
         [](std::size_t) {
@@ -542,6 +550,7 @@ TEST(RecycledShards, SameShapeJobReusesEveryShard) {
         },
         {.threads = 4});
     ASSERT_EQ(g_created.size(), 16u);  // 4 threads x 4 chunks each
+    EXPECT_EQ(g_acquire_calls, 1);     // one batch for the whole job
     shards.emplace_back(g_created.begin(), g_created.end());
     create_bytes.push_back(g_create_bytes);
   }
@@ -665,10 +674,9 @@ TEST(Determinism, TelemetryExportBytesIdenticalAcrossThreadCounts) {
   // trace JSONL — must be byte-identical at any thread count, not just
   // numerically close. Registry updates run against a private registry
   // via a thread override (shards merge into the override because the
-  // merge runs on the calling thread). The tracer must be the *process*
-  // global, sized and enabled before the fan-out, because worker
-  // threads copy its enabled state when they create their shards —
-  // exactly the bench setup.
+  // merge runs on the calling thread). The tracer is sized and enabled
+  // before the fan-out, because the calling thread copies its size and
+  // enabled state into the shards it acquires — exactly the bench setup.
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.clear();
   tracer.set_capacity(512);

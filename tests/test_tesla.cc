@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "crypto/keychain.h"
 #include "tesla/buffer.h"
@@ -284,6 +285,95 @@ TEST(ReservoirBuffer, TakeCompactsAndNextFillLandsAtTheEnd) {
     EXPECT_EQ(decide(3, 7, 4, policy, draws), 3u);
   }
   EXPECT_EQ(decide(4, 7, 4, BufferPolicy::kNaiveDrop, seeded), kDiscard);
+}
+
+// ------------------------------------------------------- KeepThresholds
+
+constexpr std::uint64_t kMaxOffer = 4096;
+
+TEST(KeepThresholds, IntegerKeepIsTheDoubleKeep) {
+  // Every m in 1..64 and every offer k in (m, 4096]: the table-backed
+  // keep decides exactly what decide()'s double compare decides, at the
+  // words on both sides of the threshold and at random ones.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  Rng rng(53);
+  for (std::size_t m = 1; m <= 64; ++m) {
+    KeepThresholds table(m);
+    table.grow(kMaxOffer);
+    for (std::uint64_t k = m + 1; k <= kMaxOffer; ++k) {
+      const double q = static_cast<double>(m) / static_cast<double>(k);
+      const std::uint64_t thr = table[k];
+      ASSERT_GE(thr, 1U);
+      ASSERT_LE(thr, kTop + 1);
+      const auto check = [&](std::uint64_t word) {
+        ASSERT_EQ(table.keeps(word, k), common::unit_double(word) < q)
+            << "m=" << m << " k=" << k << " word=" << word;
+      };
+      for (const std::uint64_t high : {std::uint64_t{0}, thr - 1, thr, kTop}) {
+        if (high > kTop) continue;
+        check(high << 11);
+        check((high << 11) | 0x7ff);
+      }
+      for (int r = 0; r < 256; ++r) check(rng.next_u64());
+    }
+  }
+}
+
+TEST(KeepThresholds, GrowsWithoutRewritingAndKeepsEveryFreeOffer) {
+  KeepThresholds table(4);
+  table.grow(6);
+  const std::uint64_t at6 = table[6];
+  table.grow(3);  // never shrinks
+  EXPECT_EQ(table[6], at6);
+  table.grow(100);
+  EXPECT_EQ(table[6], at6);
+  EXPECT_EQ(table[16], std::uint64_t{1} << 51);  // 2^53 * 4 / 16
+  EXPECT_EQ(table[100], 360287970189640U);        // ceil(2^53 * 0.04)
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    EXPECT_TRUE(table.keeps(~std::uint64_t{0}, k)) << k;  // q >= 1
+  }
+}
+
+TEST(SeededDraws, TableBackedDecideStoresWhereTableLessDoes) {
+  // Random offer/take streams through two buffers, one fed table-less
+  // draws and one table-backed draws from the same round seed: every
+  // decide() lands in the same slot under every policy.
+  Rng rng(4096);
+  for (std::size_t m = 1; m <= 64; ++m) {
+    KeepThresholds table(m);
+    table.grow(kMaxOffer);
+    for (const auto policy : {BufferPolicy::kReservoir, BufferPolicy::kNaiveDrop,
+                              BufferPolicy::kAlwaysReplace}) {
+      const std::uint64_t seed = rng.next_u64();
+      SeededDraws plain(seed);
+      SeededDraws backed(seed, &table);
+      ReservoirBuffer<std::uint32_t> a(m, policy);
+      ReservoirBuffer<std::uint32_t> b(m, policy);
+      std::uint32_t value = 0;
+      while (a.offers() < kMaxOffer) {
+        if (!a.empty() && rng.bernoulli(0.1)) {
+          const std::uint32_t want = a.contents()[static_cast<std::size_t>(
+              rng.uniform(0, a.contents().size() - 1))];
+          const auto match = [want](std::uint32_t v) { return v == want; };
+          ASSERT_TRUE(a.take_first(match));
+          ASSERT_TRUE(b.take_first(match));
+          continue;
+        }
+        ++value;
+        const std::size_t slot = a.admit(plain);
+        ASSERT_EQ(b.admit(backed), slot) << "m=" << m << " offer=" << value;
+        if (slot == kDiscard) continue;
+        a.store(slot, value);
+        b.store(slot, value);
+      }
+      EXPECT_EQ(a.contents(), b.contents());
+    }
+    // The victim draw is word % m, whether or not m is a power of two.
+    SeededDraws draws(m);
+    for (std::uint64_t k = 1; k <= 64; ++k) {
+      EXPECT_EQ(draws.victim(m, k), common::subseed(m, 2 * k + 1) % m);
+    }
+  }
 }
 
 TEST(ReservoirBuffer, RejectsZeroCapacity) {

@@ -1,6 +1,6 @@
 // Golden vectors for the reservoir kernel (tesla/buffer.h), the DAP
-// receiver built on it, the finite-population game sims and the adaptive
-// defender. Each table row fixes an input sequence and the exact outcome
+// receiver built on it, the fleet's cohort member replay, the
+// finite-population game sims and the adaptive defender. Each table row fixes an input sequence and the exact outcome
 // it must produce; a failing row prints the row the code produced, in
 // table syntax.
 //
@@ -10,7 +10,9 @@
 // so the tables prove the kernel makes exactly the same decisions. The
 // population and defender values were recorded before those classes
 // moved into game/ and strategy/, with the window average hand-rolled
-// the way bench/population_dynamics did it.
+// the way bench/population_dynamics did it. The fleet values were
+// recorded before the member replay's keep draw moved to integer
+// thresholds (an identity that must not change a single decision).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,8 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "dap/dap.h"
+#include "fleet/fleet.h"
+#include "fleet/scenario.h"
 #include "game/population.h"
 #include "sim/adversary.h"
 #include "strategy/defender.h"
@@ -130,6 +134,74 @@ TEST(GoldenVectors, KernelDecisionsMatchTable) {
     EXPECT_EQ(row(got), row(want));
   }
   EXPECT_EQ(std::size(kKernelVectors), 12U);  // 3 policies x 2 sources x 2 m
+}
+
+// -------------------------------------------------------------- fleet
+
+/// A FleetSim run's member-replay outcome: every statistical member's
+/// reservoir decisions feed member_auths and stored_records_peak.
+struct FleetVector {
+  const char* name;
+  std::uint64_t member_auths;
+  std::uint64_t sentinel_auths;
+  std::uint64_t weak_auth_failures;
+  std::uint64_t stored_records_peak;
+  std::uint64_t total_bits;
+};
+
+fleet::ScenarioSpec fleet_vector_spec(const std::string& name) {
+  fleet::ScenarioSpec spec;
+  spec.name = name;
+  spec.interval_us = 200 * sim::kMillisecond;
+  if (name == "tree_flooded") {
+    // FleetSim.ReportIsIdenticalAcrossThreadCounts's run.
+    spec.seed = 21;
+    spec.kind = fleet::TopologyKind::kTree;
+    spec.depth = 2;
+    spec.fanout = 2;
+    spec.members_per_cohort = 50;
+    spec.intervals = 3;
+    spec.forged_fraction = 0.8;
+  } else {
+    // A small twin of the e2e fleet_gossip workload, at an m that is
+    // not a power of two.
+    spec.seed = 33;
+    spec.buffers = 5;
+    spec.kind = fleet::TopologyKind::kGossip;
+    spec.relays = 8;
+    spec.fanin = 2;
+    spec.members_per_cohort = 40;
+    spec.intervals = 6;
+    spec.forged_fraction = 0.9;
+    spec.hop.latency_us = sim::kMillisecond;
+  }
+  return spec;
+}
+
+FleetVector run_fleet(const char* name) {
+  fleet::FleetSim sim(fleet_vector_spec(name));
+  const fleet::FleetReport r = sim.run();
+  return {name,         r.member_auths,        r.sentinel_auths,
+          r.weak_auth_failures, r.stored_records_peak, r.total_bits};
+}
+
+std::string row(const FleetVector& v) {
+  std::ostringstream out;
+  out << "{\"" << v.name << "\", " << v.member_auths << ", "
+      << v.sentinel_auths << ", " << v.weak_auth_failures << ", "
+      << v.stored_records_peak << ", " << v.total_bits << "}";
+  return out.str();
+}
+
+const FleetVector kFleetVectors[] = {
+    {"tree_flooded", 713, 17, 18, 3053, 11448},
+    {"gossip_flooded", 947, 27, 48, 4397, 63360},
+};
+
+TEST(GoldenVectors, FleetReportsMatchTable) {
+  for (const FleetVector& want : kFleetVectors) {
+    EXPECT_EQ(row(run_fleet(want.name)), row(want));
+  }
 }
 
 // ----------------------------------------------------------- receiver
