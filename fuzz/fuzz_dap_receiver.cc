@@ -4,10 +4,15 @@
 // announce/reveal traffic against one DapReceiver: authentic packets from
 // a real DapSender, bit-flipped MACs, forged keys, replayed reveals,
 // wrong-interval claims, and time skips — the traffic mix a flooding
-// attacker controls. After every input the harness checks the receiver's
+// attacker controls. An authentic announce leaves the sender during its
+// own interval, so the harness clock moves forward to that interval when
+// one is sent; forged announces claim any interval at any time. After
+// every op the harness checks the record bound, (d + 1)·m records
+// whatever interval was claimed, and after every input the receiver's
 // accounting invariants; contract checks (DAP_CONTRACTS) and sanitizers
 // do the rest.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -54,6 +59,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   dap::sim::SimTime now = config.schedule.interval_start(1);
   std::vector<dap::wire::MacAnnounce> deferred;
+  const auto sent_in = [&](std::uint32_t interval) {
+    now = std::max(now, config.schedule.interval_start(interval));
+  };
+  const std::size_t record_bound =
+      (std::size_t{config.disclosure_delay} + 1) * config.buffers;
 
   while (!stream.empty()) {
     const std::uint8_t op = stream.u8();
@@ -61,6 +71,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     switch (op % 8) {
       case 0: {  // authentic announce
         const auto message = stream.bytes(stream.u8() % 16);
+        sent_in(interval);
         receiver.receive(sender.announce(interval, message), now);
         break;
       }
@@ -110,6 +121,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       }
       case 6: {  // defer an authentic announce (reordering fault)
         const auto message = stream.bytes(stream.u8() % 16);
+        sent_in(interval);
         deferred.push_back(sender.announce(interval, message));
         break;
       }
@@ -122,6 +134,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
         }
         break;
       }
+    }
+    if (receiver.stored_records() > record_bound) {
+      fail("stored records exceed (d + 1) rounds of m");
     }
   }
 
@@ -144,9 +159,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (receiver.stored_record_bits() % record_bits != 0) {
     fail("stored_record_bits is not a whole number of records");
   }
-  if (receiver.stored_record_bits() / record_bits >
-      static_cast<std::size_t>(kChainLength) * receiver.buffers()) {
-    fail("buffered records exceed the global m-per-round bound");
+  if (receiver.stored_record_bits() / record_bits !=
+      receiver.stored_records()) {
+    fail("stored_record_bits disagrees with stored_records");
   }
   return 0;
 }

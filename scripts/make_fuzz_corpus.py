@@ -145,7 +145,9 @@ def dap_seeds():
     deliver_deferred = op(7, 0)                   # release it late, twice
     return {
         "announce_reveal": prefix + announce + skip_time + reveal,
-        "forge_flood": prefix + forge_announce * 8 + announce + skip_time +
+        # The authentic announce first: it moves the clock to its
+        # interval, so the forged copies after it are admissible.
+        "forge_flood": prefix + announce + forge_announce * 8 + skip_time +
                        reveal,
         "forged_reveal": prefix + announce + forge_reveal + reveal,
         "bitflip_replay": prefix + announce + skip_time + flip_replay,
@@ -159,8 +161,21 @@ def dap_seeds():
         # Pool saturation: d=2, m=4, tight cap -> shed + shrink path.
         "pool_shed": pool_prefix +
                      b"".join(op(0, i, u8(0)) * 4 for i in (2, 3)) + reveal,
+        # Forged announces for intervals the sender cannot have reached
+        # (16, and 4 one past the clock bound) beside an authentic round
+        # in 3: they are unsafe, open no round and prune none.
+        "far_future_forge": prefix + announce + far_forge(15) * 4 +
+                            far_forge(3) + skip_time + reveal,
+        # The same at d=2, m=4 under the tight pool cap.
+        "far_future_pool": pool_prefix + announce * 3 + far_forge(15) * 6 +
+                           announce + skip_time + reveal + reveal,
         "empty": b"",
     }
+
+
+def far_forge(interval_selector):
+    """A forged announce for interval 1 + selector, sent at the current time."""
+    return op(1, interval_selector, b"\xfa" * 10)
 
 
 def teslapp_seeds():

@@ -1,5 +1,6 @@
 #include "dap/dap.h"
 
+#include <algorithm>
 #include <iterator>
 #include <optional>
 #include <stdexcept>
@@ -92,14 +93,13 @@ DapReceiver::DapReceiver(const DapConfig& config, common::Bytes commitment,
       rng_(rng),
       auth_(crypto::PrfDomain::kChainStep, config.key_size,
             std::move(commitment)),
+      window_(std::size_t{config.disclosure_delay} + 1, 1, config.policy),
       resync_("dap", config.resync),
       effective_buffers_(config.buffers) {
   if (local_secret_.empty()) {
     throw std::invalid_argument("DapReceiver: empty local secret");
   }
-  if (config_.buffers == 0) {
-    throw std::invalid_argument("DapReceiver: buffers must be >= 1");
-  }
+  window_.reserve(config_.buffers);  // throws on zero buffers
   if (config_.micro_mac_size == 0 || config_.micro_mac_size > 4) {
     throw std::invalid_argument(
         "DapReceiver: micro_mac_size must be in [1, 4] bytes");
@@ -108,39 +108,14 @@ DapReceiver::DapReceiver(const DapConfig& config, common::Bytes commitment,
                               static_cast<double>(effective_buffers_));
 }
 
-bool DapReceiver::packet_safe(std::uint32_t i,
-                              sim::SimTime local_now) const noexcept {
-  // The drift allowance widens the check on the conservative side: a
-  // larger local reading only makes "key may already be public" MORE
-  // likely, so bounded unmodelled drift can never admit a late forgery.
-  const sim::SimTime guarded = local_now + resync_.safety_margin(local_now);
-  if (calibration_.has_value()) {
-    return calibration_->packet_safe(i, config_.disclosure_delay, guarded,
-                                     config_.schedule);
-  }
-  return clock_.packet_safe(i, config_.disclosure_delay, guarded,
-                            config_.schedule);
-}
-
-void DapReceiver::adopt_calibration(tesla::SyncCalibration calibration) {
-  calibration_ = calibration;
-}
-
 void DapReceiver::set_resync_handler(tesla::ResyncFn handler) {
   resync_.set_handler(std::move(handler));
 }
 
-void DapReceiver::tick(sim::SimTime local_now) {
-  if (auto calibration = resync_.maybe_resync(local_now)) {
-    adopt_calibration(*calibration);
-  }
-}
-
 void DapReceiver::crash_restart(sim::SimTime /*local_now*/) {
-  buffers_.clear();
+  window_.clear();
   pending_.clear();
   auth_.rebase_to_newest();
-  calibration_.reset();
   resync_.invalidate();
   effective_buffers_ = config_.buffers;
   ++stats_.crash_restarts;
@@ -148,14 +123,6 @@ void DapReceiver::crash_restart(sim::SimTime /*local_now*/) {
   reg.add(telemetry_.crash_restarts);
   reg.set(telemetry_.effective_buffers,
           static_cast<double>(effective_buffers_));
-}
-
-std::size_t DapReceiver::stored_records() const noexcept {
-  std::size_t records = 0;
-  for (const auto& [interval, buffer] : buffers_) {
-    records += buffer.contents().size();
-  }
-  return records;
 }
 
 bool DapReceiver::degrade_or_admit(sim::SimTime local_now) {
@@ -194,19 +161,6 @@ std::uint64_t DapReceiver::record_of(common::ByteView mac,
   return (std::uint64_t{micro} << 32) | interval;
 }
 
-void DapReceiver::prune_stale_rounds(std::uint32_t current_interval) {
-  // Keys of intervals <= current - d are public; their records can never
-  // authenticate anything anymore.
-  if (current_interval <= config_.disclosure_delay) return;
-  const std::uint32_t floor = current_interval - config_.disclosure_delay;
-  auto it = buffers_.begin();
-  while (it != buffers_.end() && it->first < floor) {
-    it = buffers_.erase(it);
-  }
-  DAP_ENSURE(buffers_.empty() || buffers_.begin()->first >= floor,
-             "prune_stale_rounds: stale round survived pruning");
-}
-
 void DapReceiver::receive(const wire::MacAnnounce& packet,
                           sim::SimTime local_now) {
   // The announce is attacker-controlled and only ever *rejected* below;
@@ -221,9 +175,14 @@ void DapReceiver::receive(const wire::MacAnnounce& packet,
   obs::Tracer::global().record(obs::TraceKind::kAnnounce, local_now,
                                packet.interval);
   tick(local_now);
-  prune_stale_rounds(packet.interval);
-  // Algorithm 2 line 2: discard when the key may already be public.
-  if (!packet_safe(packet.interval, local_now)) {
+  const std::uint32_t x_hi =
+      resync_.latest_sender_interval(clock_, local_now, config_.schedule);
+  // A claim above x_hi proves nothing, so a forged interval prunes no
+  // further than an authentic announce sent now could.
+  const std::uint32_t d = config_.disclosure_delay;
+  window_.prune(std::min(packet.interval, x_hi), d);
+  // Algorithm 2 line 2, and no round the sender cannot have reached yet.
+  if (!tesla::round_admissible(packet.interval, d, x_hi)) {
     ++stats_.announces_unsafe;
     reg.add(telemetry_.announces_unsafe);
     // A streak of unsafe announces is the desync signature: either our
@@ -234,22 +193,20 @@ void DapReceiver::receive(const wire::MacAnnounce& packet,
     return;
   }
   if (!degrade_or_admit(local_now)) return;
-  auto& buffer = buffers_
-                     .try_emplace(packet.interval, effective_buffers_,
-                                  config_.policy)
-                     .first->second;
+  const std::size_t row =
+      window_.row_for(packet.interval, effective_buffers_, x_hi);
   ++stats_.records_offered;
   reg.add(telemetry_.records_offered);
-  const bool was_full = buffer.full();
   // Draw the keep decision first: a discarded copy is never re-MACed.
   tesla::RngDraws draws(rng_);
-  const std::size_t slot = buffer.admit(draws);
+  const std::size_t slot = window_.admit(row, 0, ++window_.offers(row), draws);
   if (slot == tesla::kDiscard) return;
-  buffer.store(slot, record_of(packet.mac, packet.interval));
+  const bool evicted = slot != window_.count(row, 0);
+  window_.store(row, 0, slot, record_of(packet.mac, packet.interval));
   ++stats_.records_stored;
   reg.add(telemetry_.records_stored);
-  if (was_full) {
-    // A stored record on a full buffer displaced an earlier one.
+  if (evicted) {
+    // A slot below the count: the record displaced an earlier one.
     reg.add(telemetry_.buffer_evictions);
     obs::Tracer::global().record(obs::TraceKind::kBufferEvict, local_now,
                                  packet.interval);
@@ -358,16 +315,15 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
       crypto::compute_mac(cached->second, packet.message, config_.mac_size);
   const std::uint64_t expected = record_of(expected_mac, packet.interval);
 
-  const auto buf_it = buffers_.find(packet.interval);
-  bool matched = false;
-  if (buf_it != buffers_.end()) {
-    // Only the matched record is consumed: other records of the same
-    // interval may still authenticate further reveals (multi-message
-    // streams); stale rounds are pruned as later intervals arrive.
-    matched = buf_it->second.take_first([expected](std::uint64_t record) {
-      return common::constant_time_equal(record, expected);
-    });
-  }
+  // Only the matched record is consumed: other records of the same
+  // interval may still authenticate further reveals (multi-message
+  // streams); stale rounds are pruned as later intervals arrive.
+  const std::size_t row = window_.find(packet.interval);
+  const bool matched =
+      row != window_.kNoRow &&
+      window_.take_first(row, 0, [expected](std::uint64_t record) {
+        return common::constant_time_equal(record, expected);
+      });
   if (!matched) {
     ++stats_.strong_auth_failures;
     reg.add(telemetry_.strong_auth_failures);
@@ -387,26 +343,11 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
 }
 
 void DapReceiver::set_buffers(std::size_t m) {
-  if (m == 0) {
-    throw std::invalid_argument("DapReceiver::set_buffers: m must be >= 1");
-  }
+  window_.reserve(m);
   config_.buffers = m;
   effective_buffers_ = m;
   obs::Registry::global().set(telemetry_.effective_buffers,
                               static_cast<double>(m));
-}
-
-std::size_t DapReceiver::stored_record_bits() const noexcept {
-  std::size_t records = 0;
-  for (const auto& [interval, buffer] : buffers_) {
-    records += buffer.contents().size();
-  }
-  return records * (config_.micro_mac_size * 8 + 32);
-}
-
-std::size_t DapReceiver::buffered_records(std::uint32_t i) const noexcept {
-  const auto it = buffers_.find(i);
-  return it == buffers_.end() ? 0 : it->second.contents().size();
 }
 
 }  // namespace dap::protocol

@@ -22,7 +22,8 @@
 // for ablation E9; the paper's protocol is the reservoir policy. The
 // reservoir decision is drawn BEFORE the re-MAC, so a discarded copy
 // costs no HMAC, and a kept record is one packed word (μMAC << 32 |
-// interval) in the round's flat m-slot buffer (tesla/buffer.h).
+// interval) in the receiver's record window (tesla/buffer.h): d + 1 rows
+// keyed by its own clock, (d + 1)·m records whatever an announce claims.
 
 #include <cstdint>
 #include <deque>
@@ -178,14 +179,21 @@ class DapReceiver {
 
   /// Storage currently used by buffered records, in bits (56 per record
   /// with default sizes) — the quantity §VI-A's memory accounting uses.
-  [[nodiscard]] std::size_t stored_record_bits() const noexcept;
+  [[nodiscard]] std::size_t stored_record_bits() const noexcept {
+    return stored_records() * (config_.micro_mac_size * 8 + 32);
+  }
 
   /// Buffered record count for interval i (test introspection).
-  [[nodiscard]] std::size_t buffered_records(std::uint32_t i) const noexcept;
+  [[nodiscard]] std::size_t buffered_records(std::uint32_t i) const noexcept {
+    const std::size_t row = window_.find(i);
+    return row == window_.kNoRow ? 0 : window_.count(row, 0);
+  }
 
   /// Total records currently buffered across all live rounds (the pool
   /// the degradation policy watches).
-  [[nodiscard]] std::size_t stored_records() const noexcept;
+  [[nodiscard]] std::size_t stored_records() const noexcept {
+    return window_.stored();
+  }
 
   /// Reservoir size new rounds get right now (== buffers() unless the
   /// degradation policy shrank it under pool pressure).
@@ -202,7 +210,7 @@ class DapReceiver {
 
   /// Idle-time driver for the resync state machine: lets retry/backoff
   /// progress during periods with no inbound traffic (blackouts).
-  void tick(sim::SimTime local_now);
+  void tick(sim::SimTime local_now) { resync_.maybe_resync(local_now); }
 
   /// Simulates a crash/restart: volatile state (record buffers, cached
   /// chain keys, the live calibration) is dropped; the newest
@@ -220,17 +228,6 @@ class DapReceiver {
   /// in the high 32 bits, the interval index in the low 32.
   [[nodiscard]] std::uint64_t record_of(common::ByteView mac,
                                         std::uint32_t interval) const;
-  /// Frees rounds whose key is long public (memory hygiene): everything
-  /// older than `current_interval` minus the disclosure delay.
-  void prune_stale_rounds(std::uint32_t current_interval);
-
-  /// TESLA safety check through the live calibration (when present) or
-  /// the bootstrap LooseClock, widened by the drift-allowance margin.
-  [[nodiscard]] bool packet_safe(std::uint32_t i,
-                                 sim::SimTime local_now) const noexcept;
-
-  /// Applies a completed resync (installs the calibration).
-  void adopt_calibration(tesla::SyncCalibration calibration);
 
   /// Per-drain cache: MAC keys already derived for this batch, keyed by
   /// interval and held as precomputed HMAC state (each MAC then costs 2
@@ -287,12 +284,10 @@ class DapReceiver {
   sim::LooseClock clock_;
   common::Rng rng_;
   tesla::ChainAuthenticator auth_;
-  std::map<std::uint32_t, tesla::ReservoirBuffer<std::uint64_t>>
-      buffers_;  // packed records by interval
+  tesla::RecordWindow<std::uint64_t> window_;  // packed records, d + 1 rows
   std::deque<wire::MessageReveal> pending_;        // enqueue() backlog
   DapStats stats_;
   tesla::ResyncController resync_;
-  std::optional<tesla::SyncCalibration> calibration_;
   std::size_t effective_buffers_;
   tesla::RevealVerdict last_verdict_ = tesla::RevealVerdict::kAccepted;
   std::vector<tesla::RevealVerdict> last_drain_verdicts_;

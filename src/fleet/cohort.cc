@@ -1,6 +1,7 @@
 #include "fleet/cohort.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -28,24 +29,13 @@ ReceiverCohort::ReceiverCohort(const CohortConfig& config,
       auth_(crypto::PrfDomain::kChainStep, config.dap.key_size, commitment),
       sentinel_(config.dap, commitment,
                 sentinel_rng(config.seed).bytes(16), config.clock,
-                sentinel_rng(config.seed).fork(1)) {
+                sentinel_rng(config.seed).fork(1)),
+      window_(std::size_t{config.dap.disclosure_delay} + 2, stat_members_,
+              config.dap.policy),
+      macs_(window_.rows()) {
   if (config_.members == 0) {
     throw std::invalid_argument("ReceiverCohort: members must be >= 1");
   }
-  if (config_.dap.buffers == 0) {
-    throw std::invalid_argument("ReceiverCohort: buffers must be >= 1");
-  }
-}
-
-ReceiverCohort::Round& ReceiverCohort::round_for(std::uint32_t interval) {
-  auto it = rounds_.find(interval);
-  if (it == rounds_.end()) {
-    Round round;
-    round.slots.assign(stat_members_ * config_.dap.buffers, 0);
-    round.counts.assign(stat_members_, 0);
-    it = rounds_.emplace(interval, std::move(round)).first;
-  }
-  return it->second;
 }
 
 void ReceiverCohort::receive_announce(const wire::MacAnnounce& packet,
@@ -56,12 +46,21 @@ void ReceiverCohort::receive_announce(const wire::MacAnnounce& packet,
   ++stats_.announces_received;
   sentinel_.receive(packet, local_now);
   // Algorithm 2 line 3 for the statistical members: the loose-time
-  // safety check, evaluated once for the whole cohort (shared clock).
-  if (!cohort_packet_safe(packet.interval, local_now)) {
+  // safety check, evaluated once for the whole cohort (shared clock),
+  // through the fresh calibration when one exists.
+  const std::uint32_t x_hi = tesla::latest_sender_interval(
+      calibration_, config_.clock, local_now, config_.dap.schedule);
+  if (!tesla::round_admissible(packet.interval, config_.dap.disclosure_delay,
+                               x_hi)) {
     ++stats_.announces_unsafe;
     return;
   }
-  round_for(packet.interval).macs.push_back(packet.mac);
+  std::size_t row = window_.find(packet.interval);
+  if (row == Window::kNoRow) {
+    row = window_.row_for(packet.interval, config_.dap.buffers, x_hi);
+    macs_[row].clear();
+  }
+  macs_[row].push_back(packet.mac);
 }
 
 sim::SimTime ReceiverCohort::local_time(sim::SimTime true_now) const noexcept {
@@ -76,23 +75,13 @@ sim::SimTime ReceiverCohort::true_time_of(
   return true_now > 0 ? static_cast<sim::SimTime>(true_now) : 0;
 }
 
-bool ReceiverCohort::cohort_packet_safe(std::uint32_t interval,
-                                        sim::SimTime local_now) const {
-  if (calibration_.has_value()) {
-    return calibration_->packet_safe(interval, config_.dap.disclosure_delay,
-                                     local_now, config_.dap.schedule);
-  }
-  return config_.clock.packet_safe(interval, config_.dap.disclosure_delay,
-                                   local_now, config_.dap.schedule);
-}
-
 void ReceiverCohort::crash_restart(sim::SimTime true_now,
                                    sim::SimTime reboot_skew_us) {
   // Forward-only: the skew accumulates and is never snapped back — a
   // backward correction would void the loose-sync bound (faults.h).
   skew_ += reboot_skew_us;
   calibration_.reset();  // volatile, like the sentinel's
-  rounds_.clear();
+  window_.clear();
   pending_.clear();
   hints_.clear();
   last_walks_.clear();
@@ -150,20 +139,18 @@ void ReceiverCohort::install_hints(std::vector<RevealHint> hints,
   audit_seed_ = audit_seed;
 }
 
-void ReceiverCohort::replay_member(Round& round, std::uint64_t round_seed,
-                                   std::size_t mi) const {
-  const std::size_t m = config_.dap.buffers;
-  std::uint32_t* slots = round.slots.data() + mi * m;
-  std::uint16_t& count = round.counts[mi];
+// Flattened so the kernel (decide and its draws) is inlined into the
+// per-offer loop rather than called per offer.
+[[gnu::flatten]] void ReceiverCohort::replay_member(std::size_t row,
+                                                   std::uint64_t round_seed,
+                                                   std::size_t mi) {
   tesla::SeededDraws draws(round_seed, &keep_thresholds_);
-  for (std::uint32_t k = round.replayed;
-       k < static_cast<std::uint32_t>(round.macs.size()); ++k) {
+  const auto arrivals = static_cast<std::uint32_t>(macs_[row].size());
+  for (auto k = static_cast<std::uint32_t>(window_.offers(row)); k < arrivals;
+       ++k) {
     // Offer k + 1 ("the k-th copy", 1-based) is announce arrival k.
-    const std::size_t slot =
-        tesla::decide(count, k + 1, m, config_.dap.policy, draws);
-    if (slot == tesla::kDiscard) continue;
-    slots[slot] = k;
-    if (slot == count) ++count;
+    const std::size_t slot = window_.admit(row, mi, k + 1, draws);
+    if (slot != tesla::kDiscard) window_.store(row, mi, slot, k);
   }
 }
 
@@ -237,9 +224,8 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   // compressions), and the per-reveal match table over the round's
   // announce arrivals.
   struct Plan {
-    std::uint32_t interval = 0;
     bool valid = false;
-    Round* round = nullptr;
+    std::size_t row = Window::kNoRow;
     std::vector<std::uint8_t> is_match;
   };
   std::map<std::uint32_t, crypto::HmacKey> drain_mac_keys;
@@ -247,7 +233,6 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   for (std::size_t p = 0; p < pending_.size(); ++p) {
     const wire::MessageReveal& packet = pending_[p];
     Plan& plan = plans[p];
-    plan.interval = packet.interval;
     ++stats_.reveals_received;
     if (!weak_verdicts[p]) {
       ++stats_.weak_auth_failures;
@@ -265,14 +250,13 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
     plan.valid = true;
     const common::InlineBytes<32> expected_mac = crypto::compute_mac(
         key_it->second, packet.message, config_.dap.mac_size);
-    const auto round_it = rounds_.find(packet.interval);
-    if (round_it == rounds_.end()) continue;
-    plan.round = &round_it->second;
-    plan.is_match.resize(plan.round->macs.size(), 0);
-    for (std::size_t a = 0; a < plan.round->macs.size(); ++a) {
+    plan.row = window_.find(packet.interval);
+    if (plan.row == Window::kNoRow) continue;
+    const auto& macs = macs_[plan.row];
+    plan.is_match.resize(macs.size(), 0);
+    for (std::size_t a = 0; a < macs.size(); ++a) {
       plan.is_match[a] =
-          common::constant_time_equal(plan.round->macs[a], expected_mac) ? 1
-                                                                         : 0;
+          common::constant_time_equal(macs[a], expected_mac) ? 1 : 0;
     }
   }
 
@@ -283,53 +267,36 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   // draw chain, so the result is bitwise identical at any thread count.
   // The keep thresholds grow here, serially, past every offer the pass
   // replays; the members only read them.
-  std::vector<const Round*> live_rounds;
-  std::vector<std::pair<std::uint32_t, Round*>> unreplayed;
-  live_rounds.reserve(rounds_.size());
-  unreplayed.reserve(rounds_.size());
-  for (auto& [interval, round] : rounds_) {
-    live_rounds.push_back(&round);
-    if (round.replayed == round.macs.size()) continue;  // lint: allow(secret-taint): arrival counts, not MAC bytes
-    unreplayed.emplace_back(interval, &round);
-    keep_thresholds_.grow(round.macs.size());
+  std::vector<std::size_t> unreplayed;
+  for (std::size_t row = 0; row < window_.rows(); ++row) {
+    const std::size_t arrivals = macs_[row].size();
+    if (!window_.live(row) || window_.offers(row) == arrivals) continue;  // lint: allow(secret-taint): arrival counts, not MAC bytes
+    unreplayed.push_back(row);
+    keep_thresholds_.grow(arrivals);
   }
   std::vector<std::uint8_t> flags(plans.size() * stat_members_, 0);
-  // Records each member still stores once its matches are consumed,
-  // summed after the join into the stored-records gauge.
-  std::vector<std::uint32_t> member_stored(stat_members_, 0);
-  const std::size_t m = config_.dap.buffers;
   common::parallel_for(stat_members_, [&](std::size_t mi) {
     // Stateless draw chain: (cohort seed, member, interval, offer) fully
     // determines every reservoir decision, independent of when — and on
     // which thread — the replay runs.
     const std::uint64_t member_seed =
         common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
-    for (auto& [interval, round] : unreplayed) {
-      replay_member(*round, common::subseed(member_seed, interval), mi);
+    for (const std::size_t row : unreplayed) {
+      replay_member(row, common::subseed(member_seed, window_.interval(row)),
+                    mi);
     }
     for (std::size_t p = 0; p < plans.size(); ++p) {
       const Plan& plan = plans[p];
-      if (!plan.valid || plan.round == nullptr) continue;
-      std::uint32_t* slots = plan.round->slots.data() + mi * m;
-      std::uint16_t& count = plan.round->counts[mi];
-      for (std::size_t j = 0; j < count; ++j) {
-        if (plan.is_match[slots[j]] != 0) {
-          // Strong auth: consume only the matched record and close the
-          // gap, the kernel's slot layout (tesla/buffer.h).
-          std::copy(slots + j + 1, slots + count, slots + j);
-          --count;
-          flags[p * stat_members_ + mi] = 1;
-          break;
-        }
-      }
+      if (!plan.valid || plan.row == Window::kNoRow) continue;
+      // Strong auth consumes only the matched record.
+      flags[p * stat_members_ + mi] =
+          window_.take_first(plan.row, mi, [&plan](std::uint32_t arrival) {
+            return plan.is_match[arrival] != 0;
+          });
     }
-    std::uint32_t stored = 0;
-    for (const Round* round : live_rounds) stored += round->counts[mi];
-    member_stored[mi] = stored;
   });
-  for (auto& [interval, round] : unreplayed) {
-    (void)interval;
-    round->replayed = static_cast<std::uint32_t>(round->macs.size());
+  for (const std::size_t row : unreplayed) {
+    window_.offers(row) = macs_[row].size();
   }
 
   // Serial aggregation in queue order.
@@ -339,7 +306,7 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   std::vector<RevealOutcome> outcomes(plans.size());
   for (std::size_t p = 0; p < plans.size(); ++p) {
     RevealOutcome& outcome = outcomes[p];
-    outcome.interval = plans[p].interval;
+    outcome.interval = pending_[p].interval;
     outcome.message = pending_[p].message;
     outcome.sentinel_authenticated = sentinel_outcomes[p].has_value();
     outcome.verdict = sentinel_verdicts[p];
@@ -355,29 +322,15 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   }
   pending_.clear();
 
-  std::uint64_t stored = 0;
-  for (const std::uint32_t s : member_stored) stored += s;
-  stats_.stored_records = stored;
-  stats_.stored_records_peak = std::max(stats_.stored_records_peak, stored);
+  stats_.stored_records = window_.stored();
+  stats_.stored_records_peak =
+      std::max(stats_.stored_records_peak, stats_.stored_records);
 
-  prune_rounds(config_.dap.schedule.interval_at(local_now));
+  // Pruned rows return their storage (the window is not reserved), so a
+  // fleet built while another runs reuses it.
+  window_.prune(config_.dap.schedule.interval_at(local_now),
+                config_.dap.disclosure_delay);
   return outcomes;
-}
-
-void ReceiverCohort::prune_rounds(std::uint32_t current_interval) {
-  while (!rounds_.empty() &&
-         rounds_.begin()->first + config_.dap.disclosure_delay <
-             current_interval) {
-    rounds_.erase(rounds_.begin());
-  }
-}
-
-std::uint64_t ReceiverCohort::stored_for_interval(std::uint32_t i) const {
-  const auto it = rounds_.find(i);
-  if (it == rounds_.end()) return 0;
-  std::uint64_t stored = 0;
-  for (const std::uint16_t c : it->second.counts) stored += c;
-  return stored;
 }
 
 }  // namespace dap::fleet

@@ -28,11 +28,12 @@
 // Reservoir replay is *lazy*: announces only append to the round's
 // arrival list; member slots are brought up to date at drain time with
 // one parallel_for over members (index-addressed state only), which is
-// where the 10^5-member cost is paid and sharded.
+// where the 10^5-member cost is paid and sharded. Rounds live in the
+// record window DapReceiver uses (tesla/buffer.h): d + 2 rows, because
+// the cohort prunes after its drain rather than at admission.
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -188,7 +189,10 @@ class ReceiverCohort {
   }
   /// Statistical-member records currently stored for interval i
   /// (post-replay counts; test introspection).
-  [[nodiscard]] std::uint64_t stored_for_interval(std::uint32_t i) const;
+  [[nodiscard]] std::uint64_t stored_for_interval(std::uint32_t i) const {
+    const std::size_t row = window_.find(i);
+    return row == Window::kNoRow ? 0 : window_.stored_in(row);
+  }
 
   // ---- Cooperative verification -----------------------------------------
 
@@ -220,37 +224,17 @@ class ReceiverCohort {
   }
 
  private:
-  /// Per-interval shared state: the announce arrival list plus every
-  /// statistical member's reservoir over it.
-  struct Round {
-    /// Announce MACs in arrival order; slot values index this list + 1.
-    std::vector<common::InlineBytes<32>> macs;
-    /// Flattened member slots: member mi owns [mi*m, mi*m + m), of
-    /// which the first counts[mi] hold stored arrival indices into macs.
-    std::vector<std::uint32_t> slots;
-    /// Records currently held per member.
-    std::vector<std::uint16_t> counts;
-    /// Offers already replayed into the slots (prefix of macs).
-    std::uint32_t replayed = 0;
-  };
+  using Window = tesla::RecordWindow<std::uint32_t>;
 
-  /// Replays offers [round.replayed, macs.size()) for member `mi` using
+  /// Replays a row's offers [offers, macs.size()) for member `mi` using
   /// the stateless per-offer draws of the member's `round_seed` and the
   /// cohort's keep thresholds (grown past every offer beforehand).
-  void replay_member(Round& round, std::uint64_t round_seed,
-                     std::size_t mi) const;
-
-  [[nodiscard]] Round& round_for(std::uint32_t interval);
-  void prune_rounds(std::uint32_t current_interval);
+  void replay_member(std::size_t row, std::uint64_t round_seed,
+                     std::size_t mi);
 
   /// True time recovered from a local reading (inverts local_time).
   [[nodiscard]] sim::SimTime true_time_of(
       sim::SimTime local_now) const noexcept;
-  /// Members' loose-time safety check: the fresh calibration when one
-  /// exists, the believed oscillator bound otherwise (mirrors
-  /// DapReceiver::packet_safe).
-  [[nodiscard]] bool cohort_packet_safe(std::uint32_t interval,
-                                        sim::SimTime local_now) const;
 
   CohortConfig config_;
   std::size_t stat_members_;  // members - 1 (sentinel excluded)
@@ -259,7 +243,10 @@ class ReceiverCohort {
   tesla::KeepThresholds keep_thresholds_;
   tesla::ChainAuthenticator auth_;
   protocol::DapReceiver sentinel_;
-  std::map<std::uint32_t, Round> rounds_;
+  /// Per row: each statistical member's kept arrival indices into macs_,
+  /// and (macs_) the row's announce MACs in arrival order.
+  Window window_;
+  std::vector<std::vector<common::InlineBytes<32>>> macs_;
   std::vector<wire::MessageReveal> pending_;
   CohortStats stats_;
 

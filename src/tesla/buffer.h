@@ -1,6 +1,7 @@
 #pragma once
 // Multi-buffer random selection (the DoS-mitigation core shared by
-// multi-level μTESLA, DAP receivers and fleet cohorts).
+// multi-level μTESLA, DAP receivers and fleet cohorts), and DAP's one
+// bounded round store over it (RecordWindow).
 //
 // A receiver keeps `m` slots per authentication round. Copies of a packet
 // (authentic or forged — indistinguishable before key disclosure) are
@@ -25,8 +26,7 @@
 //
 // Slot layout: occupied slots are always the prefix [0, count). A fill
 // goes to slot `count`; a take removes its slot and shifts the later
-// records down one. Every caller shares this layout, so a victim index
-// names the same record in a DapReceiver and in a cohort member.
+// records down one. RecordWindow keeps it for every caller.
 //
 // The naive-drop (keep first m, drop the rest) and always-replace (every
 // later offer evicts a random slot) policies exist for the buffer-policy
@@ -34,9 +34,11 @@
 // interval capture all slots deterministically, always-replace one who
 // bursts late.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -170,79 +172,213 @@ template <typename Draws>
   return draws.victim(m, offer);
 }
 
-/// An m-slot round buffer under one policy, over the shared layout.
+/// Whether round `interval` may hold records while the sender can have
+/// reached at most interval `x_hi`: its key is still undisclosed (the
+/// TESLA safety check, x_hi < interval + d) and it can have been sent.
+[[nodiscard]] constexpr bool round_admissible(std::uint32_t interval,
+                                              std::uint32_t d,
+                                              std::uint32_t x_hi) noexcept {
+  return interval <= x_hi && std::uint64_t{interval} + d > x_hi;
+}
+
+/// DAP's one record store (§IV-D): a fixed set of round rows, each with an
+/// interval, an offer count, the capacity it opened with and, per member,
+/// a record count and a block of slots. A DapReceiver is one member of
+/// packed μMAC words, a cohort members - 1 members of arrival indices.
+/// When no row is free, the highest yields if above x_hi (it can hold no
+/// authentic record), else the lowest. A row's storage is allocated at its
+/// first opening unless reserve() made room for it beforehand.
+template <typename T>
+class RecordWindow {
+ public:
+  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+  RecordWindow(std::size_t rows, std::size_t members, BufferPolicy policy)
+      : rows_(rows), members_(members), policy_(policy) {}
+
+  /// Makes room in every row for `capacity` slots per member, so opening a
+  /// row of at most that capacity allocates nothing, and keeps the storage
+  /// of rows prune() frees (unreserved rows return theirs).
+  void reserve(std::size_t capacity) {
+    check_capacity(capacity);
+    reserved_ = true;
+    for (Row& row : rows_) {
+      row.counts.reserve(members_);
+      row.slots.reserve(members_ * capacity);
+    }
+  }
+
+  [[nodiscard]] std::size_t find(std::uint32_t interval) const noexcept {
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+      if (live(r) && rows_[r].interval == interval) return r;
+    }
+    return kNoRow;
+  }
+  /// The live row of `interval`, else a newly opened empty one of
+  /// `capacity` slots per member.
+  std::size_t row_for(std::uint32_t interval, std::size_t capacity,
+                      std::uint32_t x_hi) {
+    const std::size_t live_row = find(interval);
+    if (live_row != kNoRow) return live_row;
+    check_capacity(capacity);
+    std::size_t r = 0, lowest = 0, highest = 0;
+    for (; r < rows_.size() && live(r); ++r) {
+      if (rows_[r].interval < rows_[lowest].interval) lowest = r;
+      if (rows_[r].interval > rows_[highest].interval) highest = r;
+    }
+    if (r == rows_.size()) {
+      r = rows_[highest].interval > x_hi ? highest : lowest;
+    }
+    Row& row = rows_[r];
+    row.interval = interval;
+    row.capacity = capacity;
+    row.offers = 0;
+    row.counts.assign(members_, 0);
+    row.slots.resize(members_ * capacity);
+    return r;
+  }
+  /// Frees every row below interval - d, whose key went public at least
+  /// an interval before `interval` began.
+  void prune(std::uint32_t interval, std::uint32_t d) noexcept {
+    for (Row& row : rows_) {
+      if (std::uint64_t{row.interval} + d >= interval) continue;
+      row.capacity = 0;
+      if (!reserved_) row = Row{};
+    }
+  }
+  void clear() noexcept {
+    for (Row& row : rows_) row.capacity = 0;
+  }
+
+  [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
+  [[nodiscard]] bool live(std::size_t row) const noexcept {
+    return rows_[row].capacity != 0;
+  }
+  [[nodiscard]] std::uint32_t interval(std::size_t row) const noexcept {
+    return rows_[row].interval;
+  }
+  /// Offers the row has decided so far, shared by its members.
+  std::uint64_t& offers(std::size_t row) noexcept { return rows_[row].offers; }
+  [[nodiscard]] std::uint64_t offers(std::size_t row) const noexcept {
+    return rows_[row].offers;
+  }
+  [[nodiscard]] std::size_t count(std::size_t row,
+                                  std::size_t member) const noexcept {
+    return rows_[row].counts[member];
+  }
+
+  /// decide() for the `offer`-th copy (1-based) at one member of a row.
+  template <typename Draws>
+  [[nodiscard]] std::size_t admit(std::size_t row, std::size_t member,
+                                  std::uint64_t offer, Draws& draws) {
+    return decide(count(row, member), offer, rows_[row].capacity, policy_,
+                  draws);
+  }
+  /// Stores `value` in the slot admit() just returned.
+  void store(std::size_t r, std::size_t member, std::size_t slot,
+             T value) noexcept {
+    Row& row = rows_[r];
+    row.slots[member * row.capacity + slot] = std::move(value);
+    if (slot == row.counts[member]) ++row.counts[member];
+  }
+  /// One member's records in a row, in slot order.
+  [[nodiscard]] std::vector<T> records(std::size_t r,
+                                       std::size_t member) const {
+    const T* first = rows_[r].slots.data() + member * rows_[r].capacity;
+    return std::vector<T>(first, first + count(r, member));
+  }
+  /// Removes only the first record satisfying `match`, shifting the later
+  /// ones down a slot; returns whether one was found.
+  template <typename Match>
+  bool take_first(std::size_t r, std::size_t member, Match match) {
+    Row& row = rows_[r];
+    T* const first = row.slots.data() + member * row.capacity;
+    T* const last = first + row.counts[member];
+    T* const it = std::find_if(first, last, match);
+    if (it == last) return false;
+    std::move(it + 1, last, it);
+    --row.counts[member];
+    return true;
+  }
+
+  /// Records one row holds across its members.
+  [[nodiscard]] std::size_t stored_in(std::size_t row) const noexcept {
+    const std::vector<std::uint16_t>& counts = rows_[row].counts;
+    return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
+  }
+  /// Records held across every live row.
+  [[nodiscard]] std::size_t stored() const noexcept {
+    std::size_t n = 0;
+    for (std::size_t r = 0; r < rows(); ++r) n += live(r) ? stored_in(r) : 0;
+    return n;
+  }
+
+ private:
+  /// Throws unless 1 <= capacity <= 0xFFFF (counts are 16-bit).
+  static void check_capacity(std::size_t capacity) {
+    if (capacity == 0 || capacity > 0xFFFF) {
+      throw std::invalid_argument("RecordWindow: capacity out of range");
+    }
+  }
+
+  struct Row {  // capacity 0: free
+    std::uint32_t interval = 0;
+    std::size_t capacity = 0;
+    std::uint64_t offers = 0;
+    std::vector<std::uint16_t> counts;  // per member
+    std::vector<T> slots;               // member's block at member * capacity
+  };
+
+  std::vector<Row> rows_;
+  std::size_t members_;
+  BufferPolicy policy_;
+  bool reserved_ = false;
+};
+
+/// One m-slot round under one policy: a one-row, one-member RecordWindow
+/// (multi-level μTESLA and the kernel tests).
 template <typename T>
 class ReservoirBuffer {
  public:
   explicit ReservoirBuffer(std::size_t capacity,
                            BufferPolicy policy = BufferPolicy::kReservoir)
-      : capacity_(capacity), policy_(policy) {
-    if (capacity == 0) {
-      throw std::invalid_argument("ReservoirBuffer: capacity must be >= 1");
-    }
-    slots_.reserve(capacity);
+      : window_(1, 1, policy) {
+    window_.row_for(0, capacity, 0);
   }
 
   /// Counts one offer and returns where it goes (kDiscard or a slot for
   /// store()), without needing the value yet.
   template <typename Draws>
   [[nodiscard]] std::size_t admit(Draws& draws) {
-    ++offers_;
-    return decide(slots_.size(), offers_, capacity_, policy_, draws);
+    return window_.admit(0, 0, ++window_.offers(0), draws);
   }
-
   /// Stores `value` in the slot admit() just returned.
   void store(std::size_t slot, T value) {
-    if (slot == slots_.size()) {
-      slots_.push_back(std::move(value));
-    } else {
-      slots_[slot] = std::move(value);
-    }
+    window_.store(0, 0, slot, std::move(value));
   }
-
   /// admit() + store() with Rng draws; returns true if stored.
   bool offer(T value, common::Rng& rng) {
     RngDraws draws(rng);
     const std::size_t slot = admit(draws);
-    if (slot == kDiscard) return false;
-    store(slot, std::move(value));
-    return true;
+    if (slot != kDiscard) store(slot, std::move(value));
+    return slot != kDiscard;
   }
-
-  /// Removes only the first record satisfying `match`, shifting the
-  /// later ones down a slot; returns whether one was found.
   template <typename Match>
   bool take_first(Match match) {
-    for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (match(*it)) {
-        slots_.erase(it);
-        return true;
-      }
-    }
-    return false;
+    return window_.take_first(0, 0, match);
   }
 
-  [[nodiscard]] const std::vector<T>& contents() const noexcept {
-    return slots_;
+  /// The stored records, in slot order.
+  [[nodiscard]] std::vector<T> contents() const {
+    return window_.records(0, 0);
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t offers() const noexcept { return offers_; }
-  [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
-  [[nodiscard]] bool full() const noexcept {
-    return slots_.size() >= capacity_;
+  [[nodiscard]] std::uint64_t offers() const noexcept {
+    return window_.offers(0);
   }
-
-  /// Clears contents and the offer counter (start of a new round).
-  void reset() noexcept {
-    slots_.clear();
-    offers_ = 0;
-  }
+  [[nodiscard]] bool empty() const noexcept { return window_.count(0, 0) == 0; }
 
  private:
-  std::size_t capacity_;
-  BufferPolicy policy_;
-  std::size_t offers_ = 0;
-  std::vector<T> slots_;
+  RecordWindow<T> window_;
 };
 
 }  // namespace dap::tesla

@@ -198,9 +198,13 @@ MultiLevelEvents MultiLevelReceiver::try_authenticate_buffered(
       }
       continue;
     }
+    // The round is dropped whatever its copies hold: all forged (the
+    // attack succeeded for this interval), or the authentic one adopted.
+    const std::vector<wire::CdmPacket> copies = it->second.contents();
+    it = cdm_buffers_.erase(it);
     const wire::CdmPacket* winner = nullptr;
     std::size_t forged = 0;
-    for (const auto& copy : it->second.contents()) {
+    for (const auto& copy : copies) {
       if (crypto::verify_mac(*mac_key, copy.mac_payload(), copy.mac)) {
         if (winner == nullptr) winner = &copy;
       } else {
@@ -209,14 +213,8 @@ MultiLevelEvents MultiLevelReceiver::try_authenticate_buffered(
     }
     stats_.cdm_forged_dropped += forged;
     if (winner != nullptr) {
-      const wire::CdmPacket authentic = *winner;  // copy before erase
-      it = cdm_buffers_.erase(it);
-      events.merge(adopt_cdm(authentic, now,
-                             CdmAuthPath::kMacAfterKeyDisclosure));
-    } else {
-      // All copies forged (the attack succeeded for this interval) or
-      // the authentic copy was never stored; drop the round.
-      it = cdm_buffers_.erase(it);
+      events.merge(
+          adopt_cdm(*winner, now, CdmAuthPath::kMacAfterKeyDisclosure));
     }
   }
   return events;

@@ -43,12 +43,12 @@ void ResyncController::invalidate() noexcept {
   desynced_ = false;
   streak_ = 0;
   last_calibrated_ = 0;
+  calibration_.reset();
 }
 
-std::optional<SyncCalibration> ResyncController::maybe_resync(
-    sim::SimTime local_now) {
-  if (!config_.enabled || !desynced_ || !handler_) return std::nullopt;
-  if (retries_left_ == 0 || local_now < next_attempt_) return std::nullopt;
+void ResyncController::maybe_resync(sim::SimTime local_now) {
+  if (!config_.enabled || !desynced_ || !handler_) return;
+  if (retries_left_ == 0 || local_now < next_attempt_) return;
   auto& reg = obs::Registry::global();
   ++stats_.attempts;
   reg.add(ctr_attempts_);
@@ -63,7 +63,8 @@ std::optional<SyncCalibration> ResyncController::maybe_resync(
     desynced_ = false;
     streak_ = 0;
     last_calibrated_ = local_now;
-    return calibration;
+    calibration_ = calibration;
+    return;
   }
   ++stats_.failures;
   reg.add(ctr_failures_);
@@ -74,12 +75,11 @@ std::optional<SyncCalibration> ResyncController::maybe_resync(
     reg.add(ctr_exhausted_);
     desynced_ = false;
     streak_ = 0;
-    return std::nullopt;
+    return;
   }
   next_attempt_ = local_now + backoff_;
   backoff_ = backoff_ * 2 < config_.backoff_max ? backoff_ * 2
                                                 : config_.backoff_max;
-  return std::nullopt;
 }
 
 sim::SimTime ResyncController::safety_margin(

@@ -82,15 +82,27 @@ class ResyncController {
   void note_healthy() noexcept;
 
   /// Drives the recovery state machine; call from receive paths and idle
-  /// ticks. Returns a fresh calibration when a handshake just succeeded.
-  std::optional<SyncCalibration> maybe_resync(sim::SimTime local_now);
+  /// ticks. A handshake that succeeds installs its calibration.
+  void maybe_resync(sim::SimTime local_now);
 
-  /// Marks the calibration as lost (crash/restart): the next suspect
-  /// streak re-arms an episode from scratch, and the drift margin grows
-  /// from the bootstrap epoch again — the receiver is back on its
-  /// bootstrap clock bound, so the allowance must cover all drift since
-  /// then, not merely since the crash.
+  /// Drops the calibration (crash/restart): the next suspect streak
+  /// re-arms an episode from scratch, and the drift margin grows from the
+  /// bootstrap epoch again — the receiver is back on its bootstrap clock
+  /// bound, so the allowance must cover all drift since then, not merely
+  /// since the crash.
   void invalidate() noexcept;
+
+  /// x_hi: the latest interval the sender can have reached, by the
+  /// installed calibration, else by `clock`'s loose bound, at `local_now`
+  /// widened by the drift margin. A larger reading only makes "key may
+  /// already be public" more likely, so bounded unmodelled drift can
+  /// never admit a late forgery; it only costs liveness.
+  [[nodiscard]] std::uint32_t latest_sender_interval(
+      const sim::LooseClock& clock, sim::SimTime local_now,
+      const sim::IntervalSchedule& sched) const noexcept {
+    return tesla::latest_sender_interval(
+        calibration_, clock, local_now + safety_margin(local_now), sched);
+  }
 
   [[nodiscard]] bool desynced() const noexcept { return desynced_; }
   [[nodiscard]] const ResyncStats& stats() const noexcept { return stats_; }
@@ -110,6 +122,7 @@ class ResyncController {
   sim::SimTime next_attempt_ = 0;
   sim::SimTime backoff_ = 0;
   sim::SimTime last_calibrated_ = 0;
+  std::optional<SyncCalibration> calibration_;
   ResyncStats stats_;
   obs::CounterHandle ctr_suspects_;
   obs::CounterHandle ctr_episodes_;

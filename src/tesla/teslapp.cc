@@ -120,33 +120,13 @@ common::Bytes TeslaPpReceiver::self_mac(std::uint32_t interval,
   return common::Bytes(tag.begin(), tag.end());
 }
 
-bool TeslaPpReceiver::packet_safe(std::uint32_t i,
-                                  sim::SimTime local_now) const noexcept {
-  // The drift-allowance margin widens the check toward "the key may
-  // already be public", so bounded clock drift can never admit a late
-  // forgery — it only costs liveness, which resync restores.
-  const sim::SimTime guarded = local_now + resync_.safety_margin(local_now);
-  // TESLA++ reveals the key one interval after the announcement (d = 1).
-  if (calibration_) {
-    return calibration_->packet_safe(i, 1, guarded, config_.schedule);
-  }
-  return clock_.packet_safe(i, 1, guarded, config_.schedule);
-}
-
 void TeslaPpReceiver::set_resync_handler(ResyncFn handler) {
   resync_.set_handler(std::move(handler));
-}
-
-void TeslaPpReceiver::tick(sim::SimTime local_now) {
-  if (auto calibration = resync_.maybe_resync(local_now)) {
-    calibration_ = *calibration;
-  }
 }
 
 void TeslaPpReceiver::crash_restart(sim::SimTime /*local_now*/) {
   records_.clear();
   auth_.rebase_to_newest();
-  calibration_.reset();
   resync_.invalidate();
   ++stats_.crash_restarts;
   obs::Registry::global().add(telemetry_.crash_restarts);
@@ -172,7 +152,10 @@ void TeslaPpReceiver::receive(const wire::MacAnnounce& packet,
   tick(local_now);
   ++stats_.announces_received;
   reg.add(telemetry_.announces_received);
-  if (!packet_safe(packet.interval, local_now)) {
+  // Safety check, d = 1: the key of I_i is public once the sender may have
+  // reached I_{i+1}.
+  if (resync_.latest_sender_interval(clock_, local_now, config_.schedule) >
+      packet.interval) {
     ++stats_.announces_unsafe;
     reg.add(telemetry_.announces_unsafe);
     resync_.note_suspect(local_now);

@@ -154,7 +154,7 @@ class TeslaPpReceiver {
   /// Wires the timesync-handshake transport used by desync recovery.
   void set_resync_handler(ResyncFn handler);
   /// Idle-time driver for retry/backoff during silent periods.
-  void tick(sim::SimTime local_now);
+  void tick(sim::SimTime local_now) { resync_.maybe_resync(local_now); }
   /// Crash/restart: drops records and cached keys, keeps the newest
   /// authenticated chain key as the persistent anchor.
   void crash_restart(sim::SimTime local_now);
@@ -167,11 +167,6 @@ class TeslaPpReceiver {
  private:
   [[nodiscard]] common::Bytes self_mac(std::uint32_t interval,
                                        common::ByteView mac) const;
-
-  /// Safety check through the live calibration (when present) or the
-  /// bootstrap LooseClock, widened by the drift-allowance margin.
-  [[nodiscard]] bool packet_safe(std::uint32_t i,
-                                 sim::SimTime local_now) const noexcept;
 
   /// Global-registry handles mirroring TeslaPpStats; resolved once so
   /// the receive paths update by index only.
@@ -200,7 +195,6 @@ class TeslaPpReceiver {
   std::map<std::uint32_t, std::set<common::Bytes>> records_;
   TeslaPpStats stats_;
   ResyncController resync_;
-  std::optional<SyncCalibration> calibration_;
 };
 
 }  // namespace dap::tesla

@@ -40,12 +40,6 @@ sim::SimTime SyncCalibration::upper_bound_sender_time(
   return sender_time_ + (reference - request_local_);
 }
 
-bool SyncCalibration::packet_safe(
-    std::uint32_t i, std::uint32_t d, sim::SimTime local_now,
-    const sim::IntervalSchedule& sched) const noexcept {
-  return upper_bound_sender_time(local_now) < sched.interval_start(i + d);
-}
-
 TimeSyncClient::TimeSyncClient(common::Bytes pairwise_key,
                                std::uint64_t rng_seed)
     : key_(std::move(pairwise_key)), rng_state_(rng_seed) {

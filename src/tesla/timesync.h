@@ -10,7 +10,7 @@
 // — regardless of network delays. The bound's slack equals the
 // round-trip time, which is also exactly the `max_offset` a LooseClock
 // needs, so a completed sync converts directly into the safety check
-// used by every receiver here.
+// used by every receiver here (latest_sender_interval).
 
 #include <cstdint>
 #include <optional>
@@ -43,13 +43,6 @@ class SyncCalibration {
   [[nodiscard]] sim::SimTime upper_bound_sender_time(
       sim::SimTime local_now) const noexcept;
 
-  /// TESLA safety check under this calibration: may a packet claiming
-  /// interval `i` (disclosure delay `d`) still be trusted at `local_now`?
-  [[nodiscard]] bool packet_safe(std::uint32_t i, std::uint32_t d,
-                                 sim::SimTime local_now,
-                                 const sim::IntervalSchedule& sched)
-      const noexcept;
-
   /// The bound's slack: the round-trip time of the handshake.
   [[nodiscard]] sim::SimTime uncertainty() const noexcept {
     return response_local_ - request_local_;
@@ -60,6 +53,18 @@ class SyncCalibration {
   sim::SimTime response_local_;
   sim::SimTime sender_time_;
 };
+
+/// x_hi: the latest interval the sender can have reached at local time
+/// `local_now`, by `calibration` when there is one, else by `clock`'s loose
+/// bound. A packet for interval i is safe iff x_hi < i + d (packet_safe).
+[[nodiscard]] inline std::uint32_t latest_sender_interval(
+    const std::optional<SyncCalibration>& calibration,
+    const sim::LooseClock& clock, sim::SimTime local_now,
+    const sim::IntervalSchedule& sched) noexcept {
+  return sched.interval_at(calibration
+                               ? calibration->upper_bound_sender_time(local_now)
+                               : clock.latest_sender_time(local_now));
+}
 
 /// Receiver side of the handshake. One in-flight request at a time;
 /// stale or forged responses are rejected.

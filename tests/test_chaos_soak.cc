@@ -369,24 +369,28 @@ TEST(DapDegradation, PoolSaturationShedsAndShrinksThenRestores) {
                                  bytes_of("local"), sim::LooseClock(0, 0),
                                  Rng(5));
 
-  // Fill the pool to the cap with one round's records.
-  const sim::SimTime t = 10 * sim::kMillisecond;
+  // Fill the pool to the cap with one round's records. Each announce
+  // arrives inside its own interval: the receiver's clock bounds which
+  // rounds it may open and prune.
+  const auto in_interval = [&config](std::uint32_t i) {
+    return config.schedule.interval_start(i) + 10 * sim::kMillisecond;
+  };
   for (int k = 0; k < 8; ++k) {
     receiver.receive(sender.announce(1, bytes_of("m" + std::to_string(k))),
-                     t);
+                     in_interval(1));
   }
   EXPECT_EQ(receiver.stored_records(), 8u);
   EXPECT_EQ(receiver.effective_buffers(), 8u);
 
   // Saturated: the next admission is shed and the reservoir halves.
-  receiver.receive(sender.announce(2, bytes_of("over")), t);
+  receiver.receive(sender.announce(2, bytes_of("over")), in_interval(2));
   EXPECT_EQ(receiver.stats().admissions_shed, 1u);
   EXPECT_EQ(receiver.effective_buffers(), 4u);
   EXPECT_EQ(receiver.stored_records(), 8u);
 
   // Announcing interval 3 prunes the long-public round 1, draining the
   // pool below half the cap: capacity is restored and the record admitted.
-  receiver.receive(sender.announce(3, bytes_of("fresh")), t);
+  receiver.receive(sender.announce(3, bytes_of("fresh")), in_interval(3));
   EXPECT_EQ(receiver.stats().admissions_shed, 1u);
   EXPECT_EQ(receiver.effective_buffers(), 8u);
   EXPECT_EQ(receiver.stored_records(), 1u);

@@ -467,6 +467,39 @@ TEST(DapMultiMessage, StaleRoundsArePruned) {
   EXPECT_EQ(receiver.buffered_records(3), 1u);
 }
 
+TEST(DapReceiver, FarFutureForgedAnnounceKeepsLiveRounds) {
+  // A forged copy of an authentic announce claiming an interval the
+  // sender cannot have reached is unsafe: it opens no round and prunes
+  // nothing, so the authentic record still authenticates its reveal,
+  // through receive() and through a drain alike.
+  const auto config = test_config(4);
+  for (const bool batched : {false, true}) {
+    DapSender sender(config, bytes_of("seed"));
+    auto receiver = make_receiver(config, sender);
+    const auto authentic = sender.announce(3, bytes_of("reading"));
+    receiver.receive(authentic, mid(3));
+    ASSERT_EQ(receiver.buffered_records(3), 1u);
+    for (const std::uint32_t claimed : {4u, 1000u, 0xFFFFFF00u}) {
+      auto forged = authentic;
+      forged.interval = claimed;
+      receiver.receive(forged, mid(3));
+      EXPECT_EQ(receiver.buffered_records(claimed), 0u) << claimed;
+    }
+    EXPECT_EQ(receiver.stats().announces_unsafe, 3u);
+    EXPECT_EQ(receiver.buffered_records(3), 1u);
+    EXPECT_EQ(receiver.stored_records(), 1u);
+    std::optional<tesla::AuthenticatedMessage> out;
+    if (batched) {
+      receiver.enqueue(sender.reveal(3));
+      out = receiver.drain_pending_batch(mid(4)).at(0);
+    } else {
+      out = receiver.receive(sender.reveal(3), mid(4));
+    }
+    ASSERT_TRUE(out.has_value()) << "batched=" << batched;
+    EXPECT_EQ(out->message, bytes_of("reading"));
+  }
+}
+
 // ------------------------------------------- batched reveal verification
 
 TEST(DapBatchReveal, DrainMatchesSerialReceive) {

@@ -357,6 +357,34 @@ TEST(Cohort, StaleAnnounceFailsSafetyCheck) {
   EXPECT_EQ(cohort.stored_for_interval(1), 0u);
 }
 
+TEST(Cohort, FarFutureAnnouncesOpenNoRounds) {
+  // Forged announces for intervals the sender cannot have reached are
+  // unsafe: they open no round (no member records, no slots), and the
+  // authentic round beside them still authenticates every member.
+  const fleet::CohortConfig config = cohort_config(64, 5);
+  protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));
+  fleet::ReceiverCohort cohort(config, sender.chain().commitment());
+  sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
+                             common::Rng(77));
+
+  const sim::SimTime t = announce_time(config.dap, 5);
+  cohort.receive_announce(sender.announce(5, common::bytes_of("m")), t);
+  for (std::uint32_t i = 1000; i < 2000; ++i) {
+    cohort.receive_announce(forger.forge(i), t);
+  }
+  EXPECT_EQ(cohort.stats().announces_unsafe, 1000u);
+  cohort.enqueue_reveal(sender.reveal(5));
+  const auto outcomes = cohort.drain(drain_time(config.dap, 5));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].members_authenticated, 63u);
+  EXPECT_TRUE(outcomes[0].sentinel_authenticated);
+  EXPECT_EQ(cohort.stats().stored_records, 0u);
+  EXPECT_EQ(cohort.stats().stored_records_peak, 0u);
+  EXPECT_EQ(cohort.stored_for_interval(1000), 0u);
+  EXPECT_EQ(cohort.stored_for_interval(1999), 0u);
+  EXPECT_EQ(cohort.sentinel().stored_records(), 0u);
+}
+
 TEST(Cohort, MacKeyDerivedOncePerIntervalPerDrain) {
   const fleet::CohortConfig config = cohort_config(16, 5);
   protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));

@@ -226,8 +226,10 @@ TEST(Integration, TimeSyncCalibrationDrivesTeslaSafetyCheck) {
   // so the packet is accepted into the buffers.
   const auto announce = sender.announce(1, bytes_of("m"));
   const sim::SimTime receive_time = 600 * sim::kMillisecond;
-  ASSERT_TRUE(calibration->packet_safe(1, config.disclosure_delay,
-                                       receive_time, config.schedule));
+  const sim::LooseClock naive(0, 0);
+  ASSERT_LT(tesla::latest_sender_interval(calibration, naive, receive_time,
+                                          config.schedule),
+            1 + config.disclosure_delay);
   receiver.receive(announce, receive_time);
   EXPECT_TRUE(
       receiver.receive(sender.reveal(1), 2 * sim::kSecond).has_value());
@@ -235,11 +237,12 @@ TEST(Integration, TimeSyncCalibrationDrivesTeslaSafetyCheck) {
   // A packet arriving at local 800 ms could already be forged (bound
   // 1095 ms >= 1000 ms): the calibration rejects it even though the
   // receiver's own naive clock would have accepted it.
-  EXPECT_FALSE(calibration->packet_safe(1, config.disclosure_delay,
-                                        800 * sim::kMillisecond,
-                                        config.schedule));
-  EXPECT_TRUE(sim::LooseClock(0, 0).packet_safe(
-      1, config.disclosure_delay, 800 * sim::kMillisecond, config.schedule));
+  EXPECT_GE(tesla::latest_sender_interval(calibration, naive,
+                                          800 * sim::kMillisecond,
+                                          config.schedule),
+            1 + config.disclosure_delay);
+  EXPECT_TRUE(naive.packet_safe(1, config.disclosure_delay,
+                                800 * sim::kMillisecond, config.schedule));
 }
 
 }  // namespace

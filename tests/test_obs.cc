@@ -170,34 +170,50 @@ TEST(Registry, NameLookupsAreAllocationFree) {
 }
 
 TEST(AllocationFree, DapAnnouncePathAfterRoundsFirstOffer) {
-  // Algorithm 2's announce path under flood: after a round's first offer
-  // has created its m-slot buffer, neither a kept copy (re-MAC into a
-  // packed word) nor a discarded one (no re-MAC at all) allocates.
+  // Algorithm 2's announce path under flood, across 10 consecutive
+  // intervals counted from before the first round's first offer: opening
+  // a round (a row of the preallocated record window), a kept copy
+  // (re-MAC into a packed word) and a discarded one (no re-MAC at all)
+  // allocate nothing.
   protocol::DapConfig config;
-  config.chain_length = 8;
+  config.chain_length = 16;
   protocol::DapSender sender(config, common::bytes_of("seed"));
   protocol::DapReceiver receiver(config, sender.chain().commitment(),
                                  common::bytes_of("k-recv"),
                                  sim::LooseClock(0, 0), common::Rng(5));
-  const wire::MacAnnounce authentic =
-      sender.announce(2, common::bytes_of("reading"));
-  wire::MacAnnounce forged = authentic;
-  forged.mac[0] ^= 0xff;
-  const sim::SimTime now =
-      config.schedule.interval_start(2) + config.schedule.duration() / 4;
-  receiver.receive(authentic, now);  // creates the round's buffer
+  constexpr std::uint32_t kIntervals = 10;
+  std::vector<wire::MacAnnounce> copies;  // authentic, forged per interval
+  for (std::uint32_t i = 1; i <= kIntervals; ++i) {
+    copies.push_back(sender.announce(i, common::bytes_of("reading")));
+    copies.push_back(copies.back());
+    copies.back().mac[0] ^= 0xff;
+  }
+
+  // Warm the telemetry's first-use state with an announce that opens no
+  // round: the sender cannot have reached interval 2 during interval 1.
+  receiver.receive(copies[2], config.schedule.interval_start(1));
+  EXPECT_EQ(receiver.stats().announces_unsafe, 1u);
 
   const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 1000; ++i) {
-    receiver.receive(i % 2 == 0 ? forged : authentic, now);
+  for (std::uint32_t i = 1; i <= kIntervals; ++i) {
+    const sim::SimTime now =
+        config.schedule.interval_start(i) + config.schedule.duration() / 4;
+    for (int k = 0; k < 100; ++k) {
+      receiver.receive(copies[2 * (i - 1) + (k % 2 == 0 ? 0 : 1)], now);
+    }
   }
   const std::uint64_t after = g_allocations.load();
   EXPECT_EQ(before, after) << "announce path allocated";
   const protocol::DapStats& stats = receiver.stats();
-  EXPECT_EQ(stats.records_offered, 1001u);
-  EXPECT_GT(stats.records_stored, config.buffers);  // kept offers ...
-  EXPECT_LT(stats.records_stored, 100u);            // ... and discarded
-  EXPECT_EQ(receiver.buffered_records(2), config.buffers);
+  EXPECT_EQ(stats.records_offered, 100u * kIntervals);
+  EXPECT_GT(stats.records_stored, kIntervals * config.buffers);  // kept ...
+  EXPECT_LT(stats.records_stored, 100u * kIntervals / 4);        // ... and discarded
+  for (std::uint32_t i = kIntervals - config.disclosure_delay; i <= kIntervals;
+       ++i) {
+    EXPECT_EQ(receiver.buffered_records(i), config.buffers) << i;
+  }
+  EXPECT_EQ(receiver.stored_records(),
+            (config.disclosure_delay + 1) * config.buffers);
 }
 
 TEST(AllocationFree, AnnounceFrameDeframeAndReceive) {

@@ -229,14 +229,14 @@ TEST(ChainAuthenticator, PruneRaisesDerivabilityFloor) {
 
 TEST(ReservoirBuffer, FillsThenSamples) {
   ReservoirBuffer<int> buffer(3);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.offers(), 0u);
   Rng rng(1);
   EXPECT_TRUE(buffer.offer(1, rng));
   EXPECT_TRUE(buffer.offer(2, rng));
   EXPECT_TRUE(buffer.offer(3, rng));
   EXPECT_EQ(buffer.contents().size(), 3u);
-  buffer.reset();
-  EXPECT_TRUE(buffer.empty());
-  EXPECT_EQ(buffer.offers(), 0u);
+  EXPECT_EQ(buffer.offers(), 3u);
 }
 
 TEST(ReservoirBuffer, UniformInclusionProbability) {

@@ -59,10 +59,15 @@ TEST(TimeSync, PacketSafetyUsesBound) {
       responder.respond(request, 505 * kMillisecond), 510 * kMillisecond);
   ASSERT_TRUE(calibration.has_value());
   // Interval 1, d = 1: key disclosed at sender time 1000 ms. At local
-  // 900 ms the bound is ~905 ms < 1000 ms: safe.
-  EXPECT_TRUE(calibration->packet_safe(1, 1, 900 * kMillisecond, sched));
-  // At local 996 ms the bound exceeds 1000 ms: unsafe.
-  EXPECT_FALSE(calibration->packet_safe(1, 1, 996 * kMillisecond, sched));
+  // 900 ms the bound is ~905 ms < 1000 ms: x_hi = 1 < 1 + 1, safe.
+  const sim::LooseClock unused(0, 0);
+  EXPECT_EQ(latest_sender_interval(calibration, unused, 900 * kMillisecond,
+                                   sched),
+            1u);
+  // At local 996 ms the bound exceeds 1000 ms: x_hi = 2, unsafe.
+  EXPECT_EQ(latest_sender_interval(calibration, unused, 996 * kMillisecond,
+                                   sched),
+            2u);
 }
 
 TEST(TimeSync, RejectsForgedResponse) {
